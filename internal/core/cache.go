@@ -3,7 +3,12 @@ package core
 import (
 	"container/list"
 	"sync"
+	"sync/atomic"
 )
+
+// entrySeq numbers published entries process-wide, so sequence numbers
+// stay unique across engines (a multi-region server runs one per region).
+var entrySeq atomic.Uint64
 
 // entryCache is a bounded, byte-accounted LRU over generated forest entries.
 // Each entry's footprint is estimated from its matrix dimension, constraint
@@ -92,10 +97,11 @@ func (c *entryCache) lookup(key forestKey, count bool) (*ForestEntry, bool) {
 	return el.Value.(*cacheItem).entry, true
 }
 
-// add inserts an entry and evicts least-recently-used items until the byte
-// bound holds. The new entry itself is evicted if it alone exceeds the bound.
-// Admitted entries attach to the engine's alias counters; evicted entries
-// detach, so alias bytes shrink in step with the matrices they shadow.
+// add numbers e (see ForestEntry.Seq), inserts it and evicts
+// least-recently-used items until the byte bound holds. The new entry
+// itself is evicted if it alone exceeds the bound. Admitted entries attach
+// to the engine's alias counters; evicted entries detach, so alias bytes
+// shrink in step with the matrices they shadow.
 //
 // The bound covers the cache's full resident footprint: entry sizes plus
 // the alias tables lazily built on cached entries (the engine-wide alias
@@ -103,6 +109,11 @@ func (c *entryCache) lookup(key forestKey, count bool) (*ForestEntry, bool) {
 // alias builds (via aliasMetrics.enforce) run the eviction loop, so the
 // bound holds in steady state too, not just at the next add.
 func (c *entryCache) add(key forestKey, e *ForestEntry) {
+	// Numbered even when the add loses a race below: the caller may still
+	// hand e out.
+	if e.seq.Load() == 0 {
+		e.seq.CompareAndSwap(0, entrySeq.Add(1))
+	}
 	size := entrySizeBytes(e)
 	c.mu.Lock()
 	defer c.mu.Unlock()

@@ -190,6 +190,10 @@ type flightCall struct {
 // re-reading the file.
 type storeCall struct {
 	done chan struct{}
+	// entries is the loaded forest (nil on a miss), set before done
+	// closes. Waiters take their entry from here, not from the cache: a
+	// small cache may already have evicted it by the time they wake.
+	entries []*ForestEntry
 }
 
 func newEngine(opts EngineOptions, generate func(context.Context, forestKey) (*ForestEntry, error)) *engine {
@@ -386,13 +390,19 @@ func (en *engine) storeFetch(ctx context.Context, key forestKey) (*ForestEntry, 
 		case <-ctx.Done():
 			return nil, false
 		}
-		// The leader published any snapshot entries to the cache. Skip a
-		// degraded fallback a concurrent fast path may have slipped in: a
-		// snapshot hit is always optimal.
-		if e, ok := en.cache.peek(key); ok && !e.Degraded {
-			return e, true
+		for _, e := range call.entries {
+			if e.Root == key.node {
+				return e, true
+			}
 		}
 		return nil, false
+	}
+	// A load that finished after the caller's own cache check published
+	// its entries before leaving storeFlight; take key from there rather
+	// than reading the file again.
+	if e, ok := en.cache.peek(key); ok && !e.Degraded {
+		en.storeMu.Unlock()
+		return e, true
 	}
 	call := &storeCall{done: make(chan struct{})}
 	en.storeFlight[ref] = call
@@ -403,6 +413,7 @@ func (en *engine) storeFetch(ctx context.Context, key forestKey) (*ForestEntry, 
 	if err == nil && len(entries) > 0 {
 		en.storeHits.Add(1)
 		en.markPersisted(ref)
+		call.entries = entries
 		for _, e := range entries {
 			k := forestKey{node: e.Root, delta: ref.Delta}
 			en.cache.add(k, e)

@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"corgi/internal/geo"
@@ -38,8 +39,19 @@ type ForestEntry struct {
 	// cache on completion.
 	Degraded bool
 
+	// seq identifies this entry object among every entry the engine has
+	// published; 0 until the entry cache first sees it. See Seq.
+	seq   atomic.Uint64
 	alias aliasState
 }
+
+// Seq returns the entry's engine-assigned sequence number, unique per
+// published entry object: a re-solved, store-reloaded or upgraded entry
+// gets a new one, so callers can tell whether a forest still holds the
+// same entries as one they derived something from without keeping the
+// old entries alive. Entries built outside an engine (decoded from the
+// wire or a snapshot) report 0 until an engine publishes them.
+func (e *ForestEntry) Seq() uint64 { return e.seq.Load() }
 
 // CheckGeoInd audits the entry's matrix against its own constraint set.
 func (e *ForestEntry) CheckGeoInd(eps, tol float64) obf.ViolationReport {

@@ -132,14 +132,32 @@ func TestEtagMatches(t *testing.T) {
 		{`"abc", "def"`, `"def"`, true},
 		{` "abc" ,"def"`, `"abc"`, true},
 		{`*`, `"anything"`, true},
+		{` * `, `"anything"`, true},
+		{`"stale", *`, `"anything"`, true},
+		{"\t\"abc\"\t", `"abc"`, true},
+		{`,,"abc"`, `"abc"`, true}, // empty tokens are skipped
+		{`"abc",`, `"abc"`, true},  // trailing comma
+		{`"def", ,`, `"abc"`, false},
+		{`,`, `"abc"`, false},
+		{` , `, `"abc"`, false},
 		{`"abc"`, `"def"`, false},
+		{`"abc"`, `"abc-gzip"`, false},
+		{`"abc-gzip"`, `"abc"`, false},
 		{`W/"abc"`, `"abc"`, false}, // weak tags never strongly match
+		{`"def", W/"abc"`, `"abc"`, false},
+		{`W/"abc", "abc"`, `"abc"`, true},
 		{``, `"abc"`, false},
+		{` `, `"abc"`, false},
 	}
 	for _, c := range cases {
 		if got := etagMatches(c.header, c.etag); got != c.want {
 			t.Errorf("etagMatches(%q, %q) = %v, want %v", c.header, c.etag, got, c.want)
 		}
+	}
+	if n := testing.AllocsPerRun(100, func() {
+		etagMatches(`"a", W/"b", , "c-gzip"`, `"c-gzip"`)
+	}); n != 0 {
+		t.Errorf("etagMatches allocates %v times per call, want 0", n)
 	}
 }
 

@@ -147,6 +147,8 @@ type MultiHandler struct {
 	// node re-validates the checksum, so a stale or corrupt byte stream
 	// degrades to a local solve, never a bad forest.
 	Store *store.Store
+
+	forests forestMemo
 }
 
 // NewMultiHandler wires a region registry into an http.Handler.
@@ -394,7 +396,7 @@ func (h *MultiHandler) handleForest(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, msg, status)
 		return
 	}
-	writeForestNegotiated(w, r, sh.Server.Tree(), forest)
+	h.forests.serve(w, r, sh.Spec.Name, sh.Server.Tree(), forest)
 }
 
 // handleBatch resolves many (region, level, delta) requests in one round

@@ -10,13 +10,17 @@
 // served as plain application/json for compatibility. v2 (see wire.go) is a
 // quantized row-sparse binary encoding negotiated via the Accept header
 // (ContentTypeForestV2) that cuts forest payloads by >3x before
-// compression; responses are additionally gzipped when the client offers
-// Accept-Encoding: gzip. Forest responses carry strong ETags (a SHA-256
-// over the encoded body, suffixed per content coding — stable across
+// compression. Responses of at least 512 bytes are additionally gzipped
+// when the client offers Accept-Encoding: gzip; smaller ones, report
+// bodies among them, go out as identity, since gzip would save about as
+// many bytes as its header line costs. Forest responses carry strong ETags
+// (a SHA-256 over the encoded body, suffixed when gzipped — stable across
 // restarts because generation is deterministic and the v2 quantization
 // idempotent) plus Vary: Accept, Accept-Encoding, and requests with a
 // matching If-None-Match get 304 Not Modified with no body, so clients can
-// keep their own on-disk forest caches and revalidate for free. Requests
+// keep their own on-disk forest caches and revalidate for free. Each
+// handler memoizes every forest's final representation, so 200s and 304s
+// for an unchanged forest skip encoding, hashing and compression. Requests
 // carry the caller's context through the handler into the generation
 // engine, bounded by Handler.Timeout.
 //
@@ -107,6 +111,8 @@ type Handler struct {
 	// Timeout bounds each /v1/matrices generation; zero means the request
 	// context alone governs cancellation. Expiry returns 504.
 	Timeout time.Duration
+
+	forests forestMemo
 }
 
 // StatsResponse mirrors core.EngineStats for /v1/stats.
@@ -171,18 +177,38 @@ func writeJSONAs(w http.ResponseWriter, r *http.Request, contentType string, v i
 	writeRaw(w, r, contentType, body)
 }
 
-// writeRaw sends a pre-marshaled body, gzipping when the client offered
-// Accept-Encoding: gzip (r may be nil to skip negotiation).
+// gzipMinBytes is the smallest body writeRaw gzips. A gzip.Writer
+// allocates a ~800 KB compressor, and report bodies (140-200 B) gain only
+// 2-24 B from it, about what the Content-Encoding header line costs; every
+// builtin forest body is larger and shrinks 40-75%.
+const gzipMinBytes = 512
+
+// acceptsGzip reports whether the client offered Accept-Encoding: gzip
+// (r may be nil to skip negotiation).
+func acceptsGzip(r *http.Request) bool {
+	return r != nil && strings.Contains(r.Header.Get("Accept-Encoding"), "gzip")
+}
+
+// writeRaw sends a pre-marshaled body, gzipped when the client offered
+// Accept-Encoding: gzip and the body is at least gzipMinBytes long;
+// smaller bodies go out as identity either way (r may be nil to skip
+// negotiation).
 func writeRaw(w http.ResponseWriter, r *http.Request, contentType string, body []byte) {
 	w.Header().Set("Content-Type", contentType)
-	if r != nil && strings.Contains(r.Header.Get("Accept-Encoding"), "gzip") {
+	if len(body) >= gzipMinBytes && acceptsGzip(r) {
 		w.Header().Set("Content-Encoding", "gzip")
-		gz := gzip.NewWriter(w)
-		defer gz.Close()
-		gz.Write(body)
-		return
+		body = gzipBytes(body)
 	}
 	w.Write(body)
+}
+
+// gzipBytes compresses body at the default level.
+func gzipBytes(body []byte) []byte {
+	var buf bytes.Buffer
+	gz := gzip.NewWriter(&buf)
+	gz.Write(body)
+	gz.Close()
+	return buf.Bytes()
 }
 
 // forestETag derives the strong ETag for an encoded forest body. Forest
@@ -204,10 +230,12 @@ func forestETag(body []byte, gzipped bool) string {
 // etagMatches implements the If-None-Match strong comparison: any listed
 // tag equal to etag (weak W/ tags never strongly match), or "*".
 func etagMatches(header, etag string) bool {
-	for _, tok := range strings.Split(header, ",") {
+	for header != "" {
+		var tok string
+		tok, header, _ = strings.Cut(header, ",")
 		tok = strings.TrimSpace(tok)
-		if tok == "*" || tok == etag {
-			return tok != ""
+		if tok == "*" || (tok != "" && tok == etag) {
+			return true
 		}
 	}
 	return false
@@ -332,47 +360,153 @@ func wantsForestV2(r *http.Request) bool {
 	return strings.Contains(r.Header.Get("Accept"), ContentTypeForestV2)
 }
 
-// writeForestNegotiated serves a generated forest in whichever encoding
-// the request's Accept header negotiated (v2 compact or v1 dense), with a
-// strong ETag over the encoded body. A request whose If-None-Match lists
-// the current tag gets 304 Not Modified with no body — clients keep a
-// small forest cache and revalidate for free (generation itself is served
-// by the engine's own caches; the 304 saves the payload bytes).
-func writeForestNegotiated(w http.ResponseWriter, r *http.Request, tree *loctree.Tree, forest *core.Forest) {
-	var (
-		v     interface{}
-		ctype string
-		err   error
-	)
-	if wantsForestV2(r) {
-		ctype = ContentTypeForestV2
-		v, err = EncodeForestV2(tree, forest)
-	} else {
-		ctype = "application/json"
-		v, err = EncodeForestV1(tree, forest)
+// maxForestReps bounds a forestMemo. Clients choose the delta they ask
+// for, so the set of forests requested is open-ended; all ten builtin
+// regions at the default height, with every level and delta 0-2 in all
+// four representations, need 240.
+const maxForestReps = 512
+
+// forestRepKey names one memoized representation: a forest in one wire
+// encoding, for clients that do or do not offer gzip (whether gzip is
+// applied then follows from the body size).
+type forestRepKey struct {
+	region       string
+	level, delta int
+	v2, gzip     bool
+}
+
+// forestRep is one forest's final HTTP representation: the body exactly
+// as sent (gzipped when gzip applies), its strong ETag and content type.
+type forestRep struct {
+	etag, ctype string
+	gzipped     bool
+	body        []byte
+	// seqs maps each subtree root to the ForestEntry.Seq the body was
+	// encoded from. Only the numbers are kept, so the memo never pins an
+	// entry the engine has evicted.
+	seqs map[loctree.NodeID]uint64
+}
+
+// forestMemo keeps the final representation of every forest a handler
+// served, so 200s and 304s for an unchanged forest skip encoding, hashing
+// and compressing. A representation is reused only while a freshly
+// generated forest holds exactly the entry objects it was encoded from:
+// an entry re-solved after eviction, reloaded from the store or upgraded
+// from a degraded fallback carries a new sequence number and forces a
+// fresh encode. The zero value is ready to use.
+type forestMemo struct {
+	mu   sync.Mutex
+	reps map[forestRepKey]*forestRep
+}
+
+// serve writes forest in whichever encoding r negotiated (v2 compact or v1
+// dense), with a strong ETag over the encoded body. A request whose
+// If-None-Match lists the current tag gets 304 Not Modified with no body
+// — clients keep a small forest cache and revalidate for free
+// (generation itself is served by the engine's own caches; the 304 saves
+// the payload bytes).
+func (m *forestMemo) serve(w http.ResponseWriter, r *http.Request, region string, tree *loctree.Tree, forest *core.Forest) {
+	key := forestRepKey{
+		region: region, level: forest.PrivacyLevel, delta: forest.Delta,
+		v2: wantsForestV2(r), gzip: acceptsGzip(r),
 	}
-	if err != nil {
-		http.Error(w, err.Error(), http.StatusInternalServerError)
-		return
-	}
-	body, err := json.Marshal(v)
-	if err != nil {
-		http.Error(w, err.Error(), http.StatusInternalServerError)
-		return
+	m.mu.Lock()
+	rep := m.reps[key]
+	m.mu.Unlock()
+	if rep == nil || !rep.encodes(forest) {
+		var err error
+		if rep, err = encodeForestRep(tree, forest, key.v2, key.gzip); err != nil {
+			http.Error(w, err.Error(), http.StatusInternalServerError)
+			return
+		}
+		m.put(key, rep)
 	}
 	// The response varies by negotiated encoding (Accept) and content
 	// coding (Accept-Encoding), and the strong ETag must name that exact
 	// representation — without both, a shared cache could satisfy a
 	// v1/identity client with v2/gzip bytes.
-	gzipped := strings.Contains(r.Header.Get("Accept-Encoding"), "gzip")
-	etag := forestETag(body, gzipped)
-	w.Header().Set("Vary", "Accept, Accept-Encoding")
-	w.Header().Set("ETag", etag)
-	if inm := r.Header.Get("If-None-Match"); inm != "" && etagMatches(inm, etag) {
+	h := w.Header()
+	h.Set("Vary", "Accept, Accept-Encoding")
+	h.Set("ETag", rep.etag)
+	if inm := r.Header.Get("If-None-Match"); inm != "" && etagMatches(inm, rep.etag) {
 		w.WriteHeader(http.StatusNotModified)
 		return
 	}
-	writeRaw(w, r, ctype, body)
+	h.Set("Content-Type", rep.ctype)
+	if rep.gzipped {
+		h.Set("Content-Encoding", "gzip")
+	}
+	w.Write(rep.body)
+}
+
+// put stores rep under key, dropping an arbitrary other representation
+// when the memo is full.
+func (m *forestMemo) put(key forestRepKey, rep *forestRep) {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	if m.reps == nil {
+		m.reps = make(map[forestRepKey]*forestRep)
+	}
+	if _, ok := m.reps[key]; !ok && len(m.reps) >= maxForestReps {
+		for k := range m.reps {
+			delete(m.reps, k)
+			break
+		}
+	}
+	m.reps[key] = rep
+}
+
+// encodes reports whether rep was encoded from exactly forest's entries.
+func (rep *forestRep) encodes(forest *core.Forest) bool {
+	if len(rep.seqs) != len(forest.Entries) {
+		return false
+	}
+	for node, e := range forest.Entries {
+		if seq, ok := rep.seqs[node]; !ok || seq == 0 || seq != e.Seq() {
+			return false
+		}
+	}
+	return true
+}
+
+// encodeForestRep encodes forest in v2 or v1, gzips it when the client
+// offers gzip and the body reaches gzipMinBytes (as writeRaw does), and
+// tags the result.
+func encodeForestRep(tree *loctree.Tree, forest *core.Forest, v2, offersGzip bool) (*forestRep, error) {
+	var (
+		v     interface{}
+		ctype = "application/json"
+		err   error
+	)
+	if v2 {
+		ctype = ContentTypeForestV2
+		v, err = EncodeForestV2(tree, forest)
+	} else {
+		v, err = EncodeForestV1(tree, forest)
+	}
+	if err != nil {
+		return nil, err
+	}
+	body, err := json.Marshal(v)
+	if err != nil {
+		return nil, err
+	}
+	rep := &forestRep{
+		ctype:   ctype,
+		gzipped: offersGzip && len(body) >= gzipMinBytes,
+		body:    body,
+		seqs:    make(map[loctree.NodeID]uint64, len(forest.Entries)),
+	}
+	rep.etag = forestETag(body, rep.gzipped)
+	if rep.gzipped {
+		// The memo keeps the body for the handler's lifetime: drop the
+		// compression buffer's growth slack.
+		rep.body = bytes.Clone(gzipBytes(body))
+	}
+	for node, e := range forest.Entries {
+		rep.seqs[node] = e.Seq()
+	}
+	return rep, nil
 }
 
 func (h *Handler) handleStats(w http.ResponseWriter, r *http.Request) {
@@ -421,7 +555,7 @@ func (h *Handler) handleMatrices(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, msg, status)
 		return
 	}
-	writeForestNegotiated(w, r, h.tree, forest)
+	h.forests.serve(w, r, "", h.tree, forest)
 }
 
 // EncodeForestV1 converts a generated forest into the dense v1 wire form,
