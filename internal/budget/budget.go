@@ -3,13 +3,13 @@
 // delta locations (matrix pruning, Sec. 4.3) cannot break epsilon-Geo-Ind
 // (Definition 4.2, "delta-prunable").
 //
-// Exact implements Definition 4.3 / Equ. (12) by exhaustive subset
-// enumeration (exponential in delta; test- and ablation-only). Approx
-// implements the O(K log K) approximation of Equ. (14). The paper prints
-// Equ. (14) with row j inside the max, while the derivation in Proposition
-// 4.5 bounds via row i; both variants are provided (VariantProof is the
-// default used by the solver, VariantPrinted feeds the ext-rpbvariant
-// ablation).
+// ExactPair implements Definition 4.3 / Equ. (12) by exhaustive subset
+// enumeration (exponential in delta; tests and experiments only).
+// ApproxPair implements the O(K log K) approximation of Equ. (14). The
+// paper prints Equ. (14) with row j inside the max, while the derivation in
+// Proposition 4.5 bounds via row i; both variants are provided
+// (VariantProof is the default used by the solver, VariantPrinted feeds the
+// ext-rpbvariant ablation).
 package budget
 
 import (
@@ -70,77 +70,6 @@ func clampMass(t float64) float64 {
 	return t
 }
 
-// Approx computes the approximate reserved budget eps'_{i,j} of Equ. (14):
-//
-//	eps' = (1/d) * ln( (1 - T/exp(eps*d)) / (1 - T) )
-//
-// where T is the top-delta mass of row i (VariantProof) or row j
-// (VariantPrinted). d must be positive. The result is always >= 0.
-func Approx(zi, zj []float64, d, eps float64, delta int, v Variant) (float64, error) {
-	if d <= 0 {
-		return 0, fmt.Errorf("budget: distance must be positive, got %v", d)
-	}
-	if eps <= 0 {
-		return 0, fmt.Errorf("budget: epsilon must be positive, got %v", eps)
-	}
-	if delta < 0 {
-		return 0, fmt.Errorf("budget: delta must be >= 0, got %d", delta)
-	}
-	row := zi
-	if v == VariantPrinted {
-		row = zj
-	}
-	t := clampMass(TopDeltaSum(row, delta))
-	if t == 0 {
-		return 0, nil
-	}
-	num := 1 - t/math.Exp(eps*d)
-	den := 1 - t
-	ep := math.Log(num/den) / d
-	if ep < 0 {
-		ep = 0 // numerical dust; the true value is >= 0
-	}
-	return ep, nil
-}
-
-// Exact computes the exact reserved budget eps_{i,j} of Equ. (12):
-//
-//	eps = (1/d) * ln( max_{|S| <= delta} (1 - sum_S z_j) / (1 - sum_S z_i) )
-//
-// by exhaustive enumeration of subsets (choose(K, delta) work — keep delta
-// small). The empty set is always a candidate, so the result is >= 0.
-func Exact(zi, zj []float64, d float64, delta int) (float64, error) {
-	if d <= 0 {
-		return 0, fmt.Errorf("budget: distance must be positive, got %v", d)
-	}
-	if len(zi) != len(zj) {
-		return 0, fmt.Errorf("budget: row lengths differ: %d vs %d", len(zi), len(zj))
-	}
-	if delta < 0 {
-		return 0, fmt.Errorf("budget: delta must be >= 0, got %d", delta)
-	}
-	best := 1.0 // S = empty set
-	var rec func(start int, size int, sumI, sumJ float64)
-	rec = func(start, size int, sumI, sumJ float64) {
-		den := clampOne(1 - sumI)
-		ratio := (1 - sumJ) / den
-		if ratio > best {
-			best = ratio
-		}
-		if size == delta {
-			return
-		}
-		for l := start; l < len(zi); l++ {
-			rec(l+1, size+1, sumI+zi[l], sumJ+zj[l])
-		}
-	}
-	rec(0, 0, 0, 0)
-	if best < 1 {
-		best = 1
-	}
-	return math.Log(best) / d, nil
-}
-
 func clampOne(v float64) float64 {
 	const floor = 1e-12
 	if v < floor {
@@ -157,16 +86,24 @@ func TightenedMultiplier(eps, epsReserved, d float64) float64 {
 	return math.Exp((eps - epsReserved) * d)
 }
 
-// ApproxPair computes the approximate reserved budget for the constraint
-// pair (i, j), maximizing over prune sets S that keep the pair alive, i.e.
-// i, j not in S. The paper's Equ. (12)/(14) write the max over all
-// S ⊆ V_{i,0}, but Definition 4.2 only requires the pruned matrix to stay
-// Geo-Ind for the *surviving* pairs: pruning i or j deletes the (i, j)
-// constraint together with its row and column (Sec. 4.3). Because a row's
-// dominant entry is typically its own diagonal z[i][i], including it in the
-// top-delta mass wildly over-reserves — enough to make Equ. (16) infeasible
-// in strong-budget regimes — so the solver uses this corrected form (the
-// literal form remains available as Approx for the ablation).
+// ApproxPair computes the approximate reserved budget eps'_{i,j} of
+// Equ. (14) for the constraint pair (i, j):
+//
+//	eps' = (1/d) * ln( (1 - T/exp(eps*d)) / (1 - T) )
+//
+// where T is the top-delta mass of row i (VariantProof) or row j
+// (VariantPrinted) over prune sets S that keep the pair alive, i.e. with
+// entries i and j masked out. d must be positive; the result is >= 0.
+//
+// The paper's Equ. (12)/(14) write the max over all S ⊆ V_{i,0}, but
+// Definition 4.2 only requires the pruned matrix to stay Geo-Ind for the
+// *surviving* pairs: pruning i or j deletes the (i, j) constraint together
+// with its row and column (Sec. 4.3). Because a row's dominant entry is
+// typically its own diagonal z[i][i], including it in the top-delta mass
+// wildly over-reserves — enough to make Equ. (16) infeasible in
+// strong-budget regimes — so the solver uses this pair-surviving form. An
+// index outside the row, such as -1, masks nothing: ApproxPair(zi, zj, -1,
+// -1, ...) is the literal Equ. (14).
 func ApproxPair(zi, zj []float64, i, j int, d, eps float64, delta int, v Variant) (float64, error) {
 	if d <= 0 {
 		return 0, fmt.Errorf("budget: distance must be positive, got %v", d)
@@ -189,7 +126,7 @@ func ApproxPair(zi, zj []float64, i, j int, d, eps float64, delta int, v Variant
 	den := 1 - t
 	ep := math.Log(num/den) / d
 	if ep < 0 {
-		ep = 0
+		ep = 0 // numerical dust; the true value is >= 0
 	}
 	return ep, nil
 }
@@ -210,8 +147,15 @@ func topDeltaSumExcluding(row []float64, delta, i, j int) float64 {
 	return TopDeltaSum(tmp, delta)
 }
 
-// ExactPair is Exact restricted to prune sets avoiding i and j, matching
-// ApproxPair's semantics.
+// ExactPair computes the exact reserved budget eps_{i,j} of Equ. (12) over
+// prune sets avoiding i and j, matching ApproxPair's semantics:
+//
+//	eps = (1/d) * ln( max_{|S| <= delta} (1 - sum_S z_j) / (1 - sum_S z_i) )
+//
+// by exhaustive enumeration of subsets (choose(K, delta) work — keep delta
+// small). The empty set is always a candidate, so the result is >= 0. As
+// with ApproxPair, indices outside the rows (such as -1) exclude nothing,
+// giving the literal Equ. (12).
 func ExactPair(zi, zj []float64, i, j int, d float64, delta int) (float64, error) {
 	if d <= 0 {
 		return 0, fmt.Errorf("budget: distance must be positive, got %v", d)
@@ -222,7 +166,7 @@ func ExactPair(zi, zj []float64, i, j int, d float64, delta int) (float64, error
 	if delta < 0 {
 		return 0, fmt.Errorf("budget: delta must be >= 0, got %d", delta)
 	}
-	best := 1.0
+	best := 1.0 // S = empty set
 	var rec func(start, size int, sumI, sumJ float64)
 	rec = func(start, size int, sumI, sumJ float64) {
 		den := clampOne(1 - sumI)

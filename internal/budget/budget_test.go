@@ -54,20 +54,20 @@ func TestTopDeltaSumMonotone(t *testing.T) {
 
 func TestApproxValidation(t *testing.T) {
 	zi := []float64{0.5, 0.5}
-	if _, err := Approx(zi, zi, 0, 1, 1, VariantProof); err == nil {
+	if _, err := ApproxPair(zi, zi, -1, -1, 0, 1, 1, VariantProof); err == nil {
 		t.Error("zero distance must fail")
 	}
-	if _, err := Approx(zi, zi, 1, 0, 1, VariantProof); err == nil {
+	if _, err := ApproxPair(zi, zi, -1, -1, 1, 0, 1, VariantProof); err == nil {
 		t.Error("zero epsilon must fail")
 	}
-	if _, err := Approx(zi, zi, 1, 1, -1, VariantProof); err == nil {
+	if _, err := ApproxPair(zi, zi, -1, -1, 1, 1, -1, VariantProof); err == nil {
 		t.Error("negative delta must fail")
 	}
 }
 
 func TestApproxZeroDelta(t *testing.T) {
 	zi := []float64{0.2, 0.3, 0.5}
-	got, err := Approx(zi, zi, 1.5, 10, 0, VariantProof)
+	got, err := ApproxPair(zi, zi, -1, -1, 1.5, 10, 0, VariantProof)
 	if err != nil || got != 0 {
 		t.Errorf("delta=0 must reserve nothing, got %v err %v", got, err)
 	}
@@ -77,7 +77,7 @@ func TestApproxIncreasesWithDelta(t *testing.T) {
 	zi := []float64{0.4, 0.3, 0.2, 0.1}
 	prev := -1.0
 	for delta := 0; delta <= 4; delta++ {
-		got, err := Approx(zi, zi, 1, 5, delta, VariantProof)
+		got, err := ApproxPair(zi, zi, -1, -1, 1, 5, delta, VariantProof)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -91,7 +91,7 @@ func TestApproxIncreasesWithDelta(t *testing.T) {
 func TestApproxFormula(t *testing.T) {
 	// Hand check: T = 0.6, eps=2, d=0.5 -> eps' = 2*ln((1-0.6/e)/(0.4)).
 	zi := []float64{0.6, 0.25, 0.15}
-	got, err := Approx(zi, nil, 0.5, 2, 1, VariantProof)
+	got, err := ApproxPair(zi, nil, -1, -1, 0.5, 2, 1, VariantProof)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -104,11 +104,11 @@ func TestApproxFormula(t *testing.T) {
 func TestApproxVariants(t *testing.T) {
 	zi := []float64{0.9, 0.05, 0.05}
 	zj := []float64{0.2, 0.4, 0.4}
-	pi, err := Approx(zi, zj, 1, 3, 1, VariantProof)
+	pi, err := ApproxPair(zi, zj, -1, -1, 1, 3, 1, VariantProof)
 	if err != nil {
 		t.Fatal(err)
 	}
-	pj, err := Approx(zi, zj, 1, 3, 1, VariantPrinted)
+	pj, err := ApproxPair(zi, zj, -1, -1, 1, 3, 1, VariantPrinted)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -120,7 +120,7 @@ func TestApproxVariants(t *testing.T) {
 func TestApproxHeavyMassClamped(t *testing.T) {
 	// Nearly all mass in the top entry: must stay finite.
 	zi := []float64{1 - 1e-15, 1e-15}
-	got, err := Approx(zi, nil, 1, 5, 1, VariantProof)
+	got, err := ApproxPair(zi, nil, -1, -1, 1, 5, 1, VariantProof)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -133,13 +133,13 @@ func TestApproxHeavyMassClamped(t *testing.T) {
 }
 
 func TestExactValidation(t *testing.T) {
-	if _, err := Exact([]float64{1}, []float64{0.5, 0.5}, 1, 1); err == nil {
+	if _, err := ExactPair([]float64{1}, []float64{0.5, 0.5}, -1, -1, 1, 1); err == nil {
 		t.Error("length mismatch must fail")
 	}
-	if _, err := Exact([]float64{1}, []float64{1}, 0, 1); err == nil {
+	if _, err := ExactPair([]float64{1}, []float64{1}, -1, -1, 0, 1); err == nil {
 		t.Error("zero distance must fail")
 	}
-	if _, err := Exact([]float64{1}, []float64{1}, 1, -2); err == nil {
+	if _, err := ExactPair([]float64{1}, []float64{1}, -1, -1, 1, -2); err == nil {
 		t.Error("negative delta must fail")
 	}
 }
@@ -150,7 +150,7 @@ func TestExactBruteForceSmall(t *testing.T) {
 	d := 2.0
 	// delta=1: candidates S={}, {0}, {1}, {2}:
 	// {}: 1; {0}: 0.9/0.5=1.8; {1}: 0.4/0.7; {2}: 0.7/0.8.
-	got, err := Exact(zi, zj, d, 1)
+	got, err := ExactPair(zi, zj, -1, -1, d, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -159,7 +159,7 @@ func TestExactBruteForceSmall(t *testing.T) {
 		t.Errorf("Exact = %v, want %v", got, want)
 	}
 	// delta=2: best is {0,2}: (1-0.4)/(1-0.7) = 2.0.
-	got2, err := Exact(zi, zj, d, 2)
+	got2, err := ExactPair(zi, zj, -1, -1, d, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -185,7 +185,7 @@ func TestExactNonNegative(t *testing.T) {
 			zj[k] /= sj
 		}
 		delta := int(rawDelta % 3)
-		got, err := Exact(zi, zj, 1.0, delta)
+		got, err := ExactPair(zi, zj, -1, -1, 1.0, delta)
 		return err == nil && got >= 0
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {
@@ -195,7 +195,8 @@ func TestExactNonNegative(t *testing.T) {
 
 // TestApproxUpperBoundsExactUnderGeoInd verifies Proposition 4.5: when the
 // rows already satisfy Geo-Ind (e^{eps d} z_j >= z_i entrywise), the
-// approximation is an upper bound on the exact reserved budget.
+// approximation is an upper bound on the exact reserved budget. An index of
+// -1 masks nothing, so (-1, -1) checks the literal Equ. (12)/(14).
 func TestApproxUpperBoundsExactUnderGeoInd(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	const eps, d = 3.0, 0.7
@@ -234,17 +235,21 @@ func TestApproxUpperBoundsExactUnderGeoInd(t *testing.T) {
 		if !ok {
 			continue
 		}
-		for delta := 0; delta <= 2; delta++ {
-			exact, err := Exact(zi, zj, d, delta)
-			if err != nil {
-				t.Fatal(err)
-			}
-			approx, err := Approx(zi, zj, d, eps, delta, VariantProof)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if approx < exact-1e-9 {
-				t.Fatalf("trial %d delta %d: approx %v < exact %v", trial, delta, approx, exact)
+		// The bound holds for the literal form (nothing masked) and for the
+		// pair-surviving form the solver uses (i, j masked).
+		for _, ij := range [][2]int{{-1, -1}, {0, n - 1}} {
+			for delta := 0; delta <= 2; delta++ {
+				exact, err := ExactPair(zi, zj, ij[0], ij[1], d, delta)
+				if err != nil {
+					t.Fatal(err)
+				}
+				approx, err := ApproxPair(zi, zj, ij[0], ij[1], d, eps, delta, VariantProof)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if approx < exact-1e-9 {
+					t.Fatalf("trial %d mask %v delta %d: approx %v < exact %v", trial, ij, delta, approx, exact)
+				}
 			}
 		}
 	}

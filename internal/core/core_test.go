@@ -173,17 +173,28 @@ func TestPairSets(t *testing.T) {
 
 func TestEpsilonMonotonicity(t *testing.T) {
 	// Higher epsilon (weaker constraint) must not increase quality loss.
+	// K=19 takes the Dantzig-Wolfe path; it runs with full optimality
+	// certification so early-stopped tails cannot mask a violation.
 	inst := buildInstance(t, 19, 10, 6)
+	pairs := inst.NeighborPairs()
 	prev := math.Inf(1)
 	for _, eps := range []float64{10, 15, 20} {
-		res, err := inst.Generate(Params{Epsilon: eps, UseGraphApprox: true, DWExact: true})
+		mult := make([]float64, len(pairs))
+		for i, pr := range pairs {
+			mult[i] = math.Exp(eps * pr.Dist)
+		}
+		m, _, _, err := inst.solveDW(pairs, mult, dwOptions{Exact: true}, nil)
 		if err != nil {
 			t.Fatalf("eps=%v: %v", eps, err)
 		}
-		if res.QualityLoss > prev+1e-6 {
-			t.Errorf("quality loss increased with epsilon: %v -> %v", prev, res.QualityLoss)
+		loss, err := inst.QualityLoss(m)
+		if err != nil {
+			t.Fatalf("eps=%v: %v", eps, err)
 		}
-		prev = res.QualityLoss
+		if loss > prev+1e-6 {
+			t.Errorf("quality loss increased with epsilon: %v -> %v", prev, loss)
+		}
+		prev = loss
 	}
 }
 

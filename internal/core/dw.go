@@ -37,17 +37,10 @@ import (
 
 // dwOptions tunes the decomposition.
 type dwOptions struct {
-	MaxRounds   int     // pricing rounds before giving up (default 400)
-	PriceTol    float64 // a block must price below -PriceTol to enter
-	Exact       bool    // run the tail to full optimality certification
-	SeedUniform bool    // seed the uniform generator per block (tightened cones)
-	NoWarmStart bool    // disable master/pricing warm starts (benchmarking)
-	SubLP       *lp.Options
-	MasterLP    *lp.Options
-	OnProgress  func(round int, masterObj float64, negBlocks int)
+	Exact       bool // run the tail to full optimality certification
+	SeedUniform bool // seed the uniform generator per block (tightened cones)
+	NoWarmStart bool // disable master/pricing warm starts (benchmarking)
 }
-
-func (o *dwOptions) noWarm() bool { return o != nil && o.NoWarmStart }
 
 // dwStallTol ends the convergence tail once the master objective improves
 // by less than this relative amount over dwStallRounds consecutive rounds
@@ -60,21 +53,12 @@ const (
 	// generation when not in Exact mode; the tail then stops with a
 	// feasible, near-optimal master. Certification mode ignores the cap.
 	dwExactBudget = 30
+	// dwMaxRounds bounds the pricing rounds before the master is accepted
+	// as it stands.
+	dwMaxRounds = 400
+	// dwPriceTol is how far below zero a block must price to enter.
+	dwPriceTol = 1e-9
 )
-
-func (o *dwOptions) maxRounds() int {
-	if o == nil || o.MaxRounds <= 0 {
-		return 400
-	}
-	return o.MaxRounds
-}
-
-func (o *dwOptions) priceTol() float64 {
-	if o == nil || o.PriceTol <= 0 {
-		return 1e-9
-	}
-	return o.PriceTol
-}
 
 // dwColumn is one generated master column: generator g used by block l.
 type dwColumn struct {
@@ -91,7 +75,7 @@ type dwColumn struct {
 // (column indices are append-only until the pruning pass reindexes them);
 // pricing solves are warm-started from the last pricing basis, which stays
 // primal feasible because only the objective changes between blocks.
-func (inst *Instance) solveDW(pairs []obf.Pair, mult []float64, opt *dwOptions, seed []dwColumn) (*obf.Matrix, []dwColumn, solveStats, error) {
+func (inst *Instance) solveDW(pairs []obf.Pair, mult []float64, opt dwOptions, seed []dwColumn) (*obf.Matrix, []dwColumn, solveStats, error) {
 	k := inst.K()
 	blockCost := make([][]float64, k) // w_l[i] = priors[i]*cost[i][l]
 	for l := 0; l < k; l++ {
@@ -121,10 +105,6 @@ func (inst *Instance) solveDW(pairs []obf.Pair, mult []float64, opt *dwOptions, 
 			}
 		}
 	}
-	subOpts := &lp.Options{Perturb: true}
-	if opt != nil && opt.SubLP != nil {
-		subOpts = opt.SubLP
-	}
 
 	// Fast pricing candidates: the single-peak exponential profiles
 	// x^(m)_j = exp(-sigma_m(j)), sigma_m = shortest path from m under arc
@@ -133,10 +113,6 @@ func (inst *Instance) solveDW(pairs []obf.Pair, mult []float64, opt *dwOptions, 
 	// below only runs for blocks where no profile prices negative, which
 	// keeps convergence exact while eliminating most pricing solves.
 	profiles := exponentialProfiles(k, pairs, mult)
-	masterOpts := &lp.Options{}
-	if opt != nil && opt.MasterLP != nil {
-		masterOpts = opt.MasterLP
-	}
 
 	// Big-M artificials keep the master feasible until enough columns exist.
 	maxW := 0.0
@@ -176,7 +152,7 @@ func (inst *Instance) solveDW(pairs []obf.Pair, mult []float64, opt *dwOptions, 
 	// (guaranteed whenever every multiplier is >= 1, which the capped
 	// reserved budget ensures): the master is then feasible from round 0
 	// and the Big-M artificials only ever carry numerical dust.
-	uniformOK := opt != nil && opt.SeedUniform
+	uniformOK := opt.SeedUniform
 	for _, m := range mult {
 		if m < 1 {
 			uniformOK = false
@@ -196,7 +172,6 @@ func (inst *Instance) solveDW(pairs []obf.Pair, mult []float64, opt *dwOptions, 
 			cols = append(cols, dwColumn{block: l, g: u, cost: cost})
 		}
 	}
-	priceTol := opt.priceTol()
 	objW := make([]float64, k)
 	type profKey struct {
 		block, peak int
@@ -242,8 +217,8 @@ func (inst *Instance) solveDW(pairs []obf.Pair, mult []float64, opt *dwOptions, 
 				return nil, err
 			}
 		}
-		mOpts := *masterOpts // copy: never mutate the caller's Options
-		if !opt.noWarm() && len(masterBasis) > 0 {
+		var mOpts lp.Options
+		if !opt.NoWarmStart && len(masterBasis) > 0 {
 			mOpts.WarmBasis = masterBasis
 			st.warmAttempts++
 		}
@@ -264,12 +239,11 @@ func (inst *Instance) solveDW(pairs []obf.Pair, mult []float64, opt *dwOptions, 
 
 	var master *lp.Solution
 	converged := false
-	exact := opt != nil && opt.Exact
 	prevObj := math.Inf(1)
 	stall := 0
 	cursor := 0
 	exactSolves := 0
-	for round := 0; round < opt.maxRounds(); round++ {
+	for round := 0; round < dwMaxRounds; round++ {
 		var err error
 		master, err = solveMaster()
 		if err != nil {
@@ -281,7 +255,7 @@ func (inst *Instance) solveDW(pairs []obf.Pair, mult []float64, opt *dwOptions, 
 		for i := 0; i < k; i++ {
 			artMass += master.X[i]
 		}
-		if !exact && artMass < 1e-9 {
+		if !opt.Exact && artMass < 1e-9 {
 			rel := (prevObj - master.Objective) / math.Max(math.Abs(master.Objective), 1e-12)
 			if rel < dwStallTol {
 				stall++
@@ -294,14 +268,14 @@ func (inst *Instance) solveDW(pairs []obf.Pair, mult []float64, opt *dwOptions, 
 		}
 		prevObj = master.Objective
 		y := master.Duals
-		added, negBlocks := 0, 0
+		added := 0
 		// Fast pass: for every block, try the single-peak profiles first.
 		needExact := make([]bool, k)
 		for l := 0; l < k; l++ {
 			for i := 0; i < k; i++ {
 				objW[i] = blockCost[l][i] - y[i]
 			}
-			bestProfile, bestVal := -1, -priceTol
+			bestProfile, bestVal := -1, -dwPriceTol
 			for m := 0; m < k; m++ {
 				if profAdded[profKey{l, m}] {
 					continue
@@ -342,7 +316,6 @@ func (inst *Instance) solveDW(pairs []obf.Pair, mult []float64, opt *dwOptions, 
 				cols = append(cols, dwColumn{block: l, g: g, cost: cost})
 				profAdded[profKey{l, bestProfile}] = true
 				added++
-				negBlocks++
 			} else {
 				needExact[l] = true
 			}
@@ -351,7 +324,7 @@ func (inst *Instance) solveDW(pairs []obf.Pair, mult []float64, opt *dwOptions, 
 		// a full LP certification round run. This concentrates the
 		// expensive pricing solves in the convergence tail.
 		if added == 0 {
-			if !exact && exactSolves >= dwExactBudget && artMass < 1e-9 {
+			if !opt.Exact && exactSolves >= dwExactBudget && artMass < 1e-9 {
 				break // tail budget spent: accept the near-optimal master
 			}
 			for scan := 0; scan < k; scan++ {
@@ -366,8 +339,8 @@ func (inst *Instance) solveDW(pairs []obf.Pair, mult []float64, opt *dwOptions, 
 				if err := sub.SetObjective(objW); err != nil {
 					return nil, nil, st, err
 				}
-				sOpts := *subOpts
-				if !opt.noWarm() && len(subBasis) > 0 {
+				sOpts := lp.Options{Perturb: true}
+				if !opt.NoWarmStart && len(subBasis) > 0 {
 					sOpts.WarmBasis = subBasis
 					st.warmAttempts++
 				}
@@ -391,8 +364,7 @@ func (inst *Instance) solveDW(pairs []obf.Pair, mult []float64, opt *dwOptions, 
 				default:
 					return nil, nil, st, fmt.Errorf("core: DW pricing %v (%s)", subSol.Status, subSol.Note)
 				}
-				if subSol.Objective < -priceTol {
-					negBlocks++
+				if subSol.Objective < -dwPriceTol {
 					g := append([]float64(nil), subSol.X...)
 					cost := 0.0
 					for i := 0; i < k; i++ {
@@ -432,9 +404,6 @@ func (inst *Instance) solveDW(pairs []obf.Pair, mult []float64, opt *dwOptions, 
 			}
 			cols = kept
 			masterBasis = nil // pruning reindexed the master's columns
-		}
-		if opt != nil && opt.OnProgress != nil {
-			opt.OnProgress(round, master.Objective, negBlocks)
 		}
 		if added == 0 {
 			converged = true

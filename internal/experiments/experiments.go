@@ -28,6 +28,7 @@ import (
 	"corgi/internal/graphx"
 	"corgi/internal/hexgrid"
 	"corgi/internal/loctree"
+	"corgi/internal/mechanism"
 	"corgi/internal/obf"
 	"corgi/internal/planar"
 )
@@ -556,7 +557,7 @@ func Fig14(cfg *Config) ([]*Table, error) {
 			return nil, err
 		}
 		// Reduction: leaf matrix -> level-1 matrix via Equ. (17).
-		groups, _, err := groupLeavesByParent(e.tree, leaves)
+		groups, _, err := mechanism.GroupByAncestor(e.tree, leaves, 1)
 		if err != nil {
 			return nil, err
 		}
@@ -570,7 +571,7 @@ func Fig14(cfg *Config) ([]*Table, error) {
 		}
 		reduceT := time.Since(t0)
 		// Recalculation: solve the LP over the m level-1 cells directly.
-		recalcT, err := recalcAtLevel1(e, leaves, m)
+		recalcT, err := recalcAtLevel1(e, leaves)
 		if err != nil {
 			return nil, err
 		}
@@ -589,7 +590,7 @@ func Fig14(cfg *Config) ([]*Table, error) {
 	if err != nil {
 		return nil, err
 	}
-	groups, _, err := groupLeavesByParent(e.tree, leaves)
+	groups, _, err := mechanism.GroupByAncestor(e.tree, leaves, 1)
 	if err != nil {
 		return nil, err
 	}
@@ -615,28 +616,8 @@ func Fig14(cfg *Config) ([]*Table, error) {
 	return []*Table{tabA, tabB}, nil
 }
 
-func groupLeavesByParent(tree *loctree.Tree, leaves []loctree.NodeID) ([][]int, []loctree.NodeID, error) {
-	order := make([]loctree.NodeID, 0)
-	groups := map[loctree.NodeID][]int{}
-	for i, leaf := range leaves {
-		anc, ok := tree.AncestorAt(leaf, 1)
-		if !ok {
-			return nil, nil, fmt.Errorf("experiments: leaf %v has no level-1 ancestor", leaf)
-		}
-		if _, seen := groups[anc]; !seen {
-			order = append(order, anc)
-		}
-		groups[anc] = append(groups[anc], i)
-	}
-	out := make([][]int, len(order))
-	for gi, anc := range order {
-		out[gi] = groups[anc]
-	}
-	return out, order, nil
-}
-
-func recalcAtLevel1(e *env, leaves []loctree.NodeID, m int) (time.Duration, error) {
-	_, parents, err := groupLeavesByParent(e.tree, leaves)
+func recalcAtLevel1(e *env, leaves []loctree.NodeID) (time.Duration, error) {
+	_, parents, err := mechanism.GroupByAncestor(e.tree, leaves, 1)
 	if err != nil {
 		return 0, err
 	}
@@ -657,7 +638,6 @@ func recalcAtLevel1(e *env, leaves []loctree.NodeID, m int) (time.Duration, erro
 	if err != nil {
 		return 0, err
 	}
-	_ = m
 	return res.Elapsed, nil
 }
 

@@ -5,12 +5,12 @@ import (
 )
 
 // SolveDense solves the problem with a two-phase primal simplex on a dense
-// tableau. It is intended for small problems (hundreds of rows/columns) and
-// as the correctness oracle for the sparse solver; memory is O(m*(n+m)).
+// tableau. It is the correctness oracle the sparse solver is tested
+// against; memory is O(m*(n+m)), so keep its problems small.
 func SolveDense(p *Problem, opt *Options) (*Solution, error) {
 	sf, flipped := p.toStandard()
 	rowScale, colScale := sf.equilibrate(3)
-	tol := opt.tol()
+	tol := optTol
 	maxIters := opt.maxIters(sf.m, sf.n)
 
 	m, n := sf.m, sf.n

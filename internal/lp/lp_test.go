@@ -162,18 +162,39 @@ func TestUnbounded(t *testing.T) {
 	}
 }
 
+// TestUnconstrained covers Solve's m == 0 branch: with no constraints the
+// minimum is x = 0 when every cost is non-negative, and the LP is
+// unbounded as soon as one cost is negative.
 func TestUnconstrained(t *testing.T) {
-	p := NewProblem(2)
-	mustObj(t, p, []float64{1, 2})
-	s := solveBoth(t, p, nil)
-	if s.Status != Optimal || s.Objective != 0 {
-		t.Fatalf("got %v obj %v, want optimal 0 at origin", s.Status, s.Objective)
-	}
-	p2 := NewProblem(1)
-	mustObj(t, p2, []float64{-1})
-	s2 := solveBoth(t, p2, nil)
-	if s2.Status != Unbounded {
-		t.Fatalf("status %v, want unbounded", s2.Status)
+	for _, tc := range []struct {
+		c    []float64
+		want Status
+	}{
+		{[]float64{1, 2}, Optimal},
+		{[]float64{0, 0, 0}, Optimal},
+		{[]float64{-1}, Unbounded},
+		{[]float64{3, -1e-3, 0}, Unbounded},
+	} {
+		p := NewProblem(len(tc.c))
+		mustObj(t, p, tc.c)
+		s := solveBoth(t, p, nil)
+		if s.Status != tc.want {
+			t.Fatalf("c=%v: status %v, want %v", tc.c, s.Status, tc.want)
+		}
+		if tc.want != Optimal {
+			continue
+		}
+		if s.Objective != 0 || len(s.X) != len(tc.c) {
+			t.Fatalf("c=%v: obj %v x %v, want 0 at the origin", tc.c, s.Objective, s.X)
+		}
+		for j, v := range s.X {
+			if v != 0 {
+				t.Fatalf("c=%v: x[%d] = %v, want 0", tc.c, j, v)
+			}
+		}
+		if s.Duals == nil || len(s.Duals) != 0 {
+			t.Fatalf("c=%v: duals %v, want non-nil and empty", tc.c, s.Duals)
+		}
 	}
 }
 

@@ -6,16 +6,13 @@
 //	subject to  a_i·x  (<= | = | >=)  b_i     for each constraint i
 //	            x >= 0
 //
-// Two solvers are provided:
-//
-//   - SolveDense: a textbook two-phase primal simplex on a dense tableau.
-//     Simple, exhaustively tested, used as the correctness oracle and for
-//     small subproblems.
-//   - Solve: a sparse revised simplex using the product form of the inverse
-//     (PFI): CSC column storage, eta-file FTRAN/BTRAN, periodic reinversion
-//     with singleton-first ordering, partial pricing, optional RHS
-//     perturbation to defeat the massive primal degeneracy of CORGI's
-//     Geo-Ind constraint systems (every inequality has b = 0).
+// Solve is the one production solver: a sparse revised simplex using the
+// product form of the inverse (PFI) — CSC column storage, eta-file
+// FTRAN/BTRAN, periodic reinversion with singleton-first ordering, partial
+// pricing, and optional RHS perturbation to defeat the massive primal
+// degeneracy of CORGI's Geo-Ind constraint systems (every inequality has
+// b = 0). A textbook two-phase dense-tableau simplex lives in the package's
+// tests as the correctness oracle Solve is checked against.
 //
 // The CORGI LPs are huge but extremely sparse — each Geo-Ind row has two
 // structural nonzeros — which is exactly the regime PFI handles well.
@@ -193,12 +190,10 @@ type Solution struct {
 	Warm bool
 }
 
-// Options tunes the solvers. The zero value asks for defaults.
+// Options tunes Solve. The zero value asks for defaults.
 type Options struct {
 	// MaxIters bounds total simplex pivots. Default: 50*(m+n)+10000.
 	MaxIters int
-	// Tol is the feasibility/optimality tolerance. Default 1e-9.
-	Tol float64
 	// Perturb enables random RHS perturbation to break degeneracy in the
 	// sparse solver (recommended for highly degenerate systems). After the
 	// perturbed solve the true RHS is restored and the solve is finished
@@ -216,13 +211,6 @@ type Options struct {
 	// crash basis. An accepted warm basis with no artificials skips phase 1
 	// entirely.
 	WarmBasis []int
-}
-
-func (o *Options) tol() float64 {
-	if o == nil || o.Tol <= 0 {
-		return 1e-9
-	}
-	return o.Tol
 }
 
 func (o *Options) maxIters(m, n int) int {

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
-	"os"
 )
 
 // Solve solves the problem with a sparse revised simplex (product form of
@@ -14,7 +13,13 @@ import (
 func Solve(p *Problem, opt *Options) (*Solution, error) {
 	sf, flipped := p.toStandard()
 	if sf.m == 0 {
-		return SolveDense(p, opt)
+		// Unconstrained: minimum at x=0 unless some c_j < 0 (then unbounded).
+		for _, cj := range sf.c[:p.nv] {
+			if cj < -optTol {
+				return &Solution{Status: Unbounded}, nil
+			}
+		}
+		return &Solution{Status: Optimal, X: make([]float64, p.nv), Duals: []float64{}}, nil
 	}
 	rowScale, colScale := sf.equilibrate(3)
 	s := newSparseState(sf, opt)
@@ -32,6 +37,7 @@ func Solve(p *Problem, opt *Options) (*Solution, error) {
 }
 
 const (
+	optTol     = 1e-9  // feasibility/optimality tolerance
 	pivotTol   = 1e-8  // ratio-test / reinversion pivot threshold
 	dropTol    = 1e-12 // entries below this are dropped from etas
 	pertScale  = 1e-8  // RHS perturbation magnitude
@@ -53,10 +59,9 @@ type eta struct {
 }
 
 type sparseState struct {
-	sf  *standardForm
-	m   int
-	n   int // structural + slack columns (artificials are n..n+m-1)
-	tol float64
+	sf *standardForm
+	m  int
+	n  int // structural + slack columns (artificials are n..n+m-1)
 
 	basis    []int // basis[i] = column pivoted at row i
 	inBasis  []bool
@@ -77,7 +82,6 @@ func newSparseState(sf *standardForm, opt *Options) *sparseState {
 	m, n := sf.m, sf.n
 	return &sparseState{
 		sf: sf, m: m, n: n,
-		tol:      opt.tol(),
 		basis:    make([]int, m),
 		inBasis:  make([]bool, n+m),
 		xB:       make([]float64, m),
@@ -308,17 +312,6 @@ func (s *sparseState) factorBump(bump []int, newBasis []int, rowCoeff map[int32]
 			}
 		}
 		if colMax < 1e-11 {
-			if os.Getenv("LP_DEBUG") != "" {
-				fullMax, fullN := 0.0, 0
-				for _, v := range cols[ci] {
-					fullN++
-					if av := math.Abs(v); av > fullMax {
-						fullMax = av
-					}
-				}
-				fmt.Printf("bump dead-end: done=%d/%d col=%d activeEntries=%d fullEntries=%d fullMax=%g colMax=%g\n",
-					done, nb, bump[ci], len(cand), fullN, fullMax, colMax)
-			}
 			return fmt.Errorf("lp: numerically singular basis (bump column %d, max entry %g)", bump[ci], colMax)
 		}
 		sortBumpEntries(cand)
@@ -451,13 +444,12 @@ func (s *sparseState) reducedCost(j int) float64 {
 // allowArtificials is false in every phase (artificials never re-enter).
 func (s *sparseState) price(bland bool) int {
 	nCols := s.n
-	dTol := s.tol
 	if bland {
 		for j := 0; j < nCols; j++ {
 			if s.inBasis[j] {
 				continue
 			}
-			if s.reducedCost(j) < -dTol {
+			if s.reducedCost(j) < -optTol {
 				return j
 			}
 		}
@@ -471,7 +463,7 @@ func (s *sparseState) price(bland bool) int {
 	scanned := 0
 	for scanned < nCols {
 		end := start + segSize
-		best, bestD := -1, -dTol
+		best, bestD := -1, -optTol
 		for j := start; j < end && j < nCols; j++ {
 			if s.inBasis[j] {
 				continue
@@ -603,7 +595,7 @@ func (s *sparseState) primalLoop() phaseResult {
 		if theta < 0 {
 			theta = 0
 		}
-		if theta < s.tol {
+		if theta < optTol {
 			degenRun++
 		} else {
 			degenRun = 0
@@ -623,14 +615,6 @@ func (s *sparseState) primalLoop() phaseResult {
 		s.basis[r] = q
 		s.xB[r] = theta
 		s.appendEta(r, touched)
-		if os.Getenv("LP_DEBUG") == "2" {
-			if err := s.reinvert(); err != nil {
-				fmt.Printf("SINGULAR after iter=%d enter=%d leave=%d row=%d pivot=%g: %v\n",
-					s.iters, q, leaving, r, bestW, err)
-				return phaseSingular
-			}
-			s.refreshXB()
-		}
 		// A pivot much smaller than the column's largest transformed entry
 		// signals dangerous element growth: refactor immediately.
 		colMax := 0.0
@@ -654,7 +638,7 @@ func (s *sparseState) dualCleanup() phaseResult {
 	rowVec := make([]float64, s.m)
 	for ; s.iters < s.maxIters; s.iters++ {
 		// Leaving row: most negative basic value.
-		r, worst := -1, -s.tol
+		r, worst := -1, -optTol
 		for i := 0; i < s.m; i++ {
 			if s.xB[i] < worst {
 				worst = s.xB[i]
@@ -690,7 +674,7 @@ func (s *sparseState) dualCleanup() phaseResult {
 				d = 0 // numerical dust; dual feasibility holds by construction
 			}
 			ratio := d / -alpha
-			if ratio < bestRatio-s.tol || (ratio < bestRatio+s.tol && -alpha > -bestAlpha) {
+			if ratio < bestRatio-optTol || (ratio < bestRatio+optTol && -alpha > -bestAlpha) {
 				bestRatio, bestAlpha, q = ratio, alpha, j
 			}
 		}

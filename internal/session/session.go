@@ -191,8 +191,8 @@ func (s *Session) Rebind(r Rebind) error {
 	}
 	s.mu.Lock()
 	s.b = b
+	s.reanchors.Add(1) // under mu: the counter never lags the swap
 	s.mu.Unlock()
-	s.reanchors.Add(1)
 	return nil
 }
 

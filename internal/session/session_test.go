@@ -1,6 +1,7 @@
 package session
 
 import (
+	"errors"
 	"math"
 	"math/rand"
 	"sync"
@@ -421,7 +422,10 @@ func TestRebindFailureKeepsOldBinding(t *testing.T) {
 
 // TestConcurrentReanchorDraws races draws against rebinds: the race job's
 // stress for the mobility path. Draws must always land on a consistent
-// binding (old or new, never torn), and counters must add up.
+// binding (old or new, never torn), and counters must add up. Of a pair of
+// draws, one per subtree, both may miss only when a rebind landed between
+// them (draw A on the old binding, then draw B on the new one); with no
+// rebind in between, exactly one subtree is live and its draw must succeed.
 func TestConcurrentReanchorDraws(t *testing.T) {
 	tree, entryA, priors := testWorld(t, 1)
 	entryB := synthEntryAt(t, tree, tree.LevelNodes(1)[1], 31)
@@ -449,18 +453,20 @@ func TestConcurrentReanchorDraws(t *testing.T) {
 				// error, which is the expected miss under racing rebinds).
 				la := entryA.Leaves[(g+i)%len(entryA.Leaves)]
 				lb := entryB.Leaves[(g+i)%len(entryB.Leaves)]
-				okA, errA := s.DrawCell(la)
-				okB, errB := s.DrawCell(lb)
-				if errA == nil {
-					drawn.Add(1)
-					_ = okA
+				before := s.Reanchors()
+				_, errA := s.DrawCell(la)
+				_, errB := s.DrawCell(lb)
+				rebound := s.Reanchors() != before
+				for _, err := range []error{errA, errB} {
+					if err == nil {
+						drawn.Add(1)
+					} else if !errors.Is(err, mechanism.ErrOutsideSubtree) {
+						t.Errorf("draw failed with %v, want ErrOutsideSubtree", err)
+						return
+					}
 				}
-				if errB == nil {
-					drawn.Add(1)
-					_ = okB
-				}
-				if errA != nil && errB != nil {
-					t.Errorf("both subtrees rejected: %v / %v", errA, errB)
+				if errA != nil && errB != nil && !rebound {
+					t.Errorf("both subtrees rejected with no rebind between the draws: %v / %v", errA, errB)
 					return
 				}
 			}
