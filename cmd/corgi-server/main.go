@@ -238,8 +238,8 @@ func main() {
 
 	// Cluster mode: every node embeds the consistent-hash router. Requests
 	// for users this node owns serve locally; everything else forwards one
-	// hop to the owner (stream first, HTTP fallback), carrying the epsilon
-	// budget handoff so a rebalance or failover never re-opens a window.
+	// hop to the owner over corgi-stream, carrying the epsilon budget
+	// handoff so a rebalance or failover never re-opens a window.
 	var router *cluster.Router
 	if *clusterPeers != "" {
 		if *clusterSelf == "" {

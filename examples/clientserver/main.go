@@ -12,45 +12,23 @@ import (
 	"net/http"
 
 	"corgi/internal/core"
-	"corgi/internal/geo"
-	"corgi/internal/gowalla"
-	"corgi/internal/hexgrid"
 	"corgi/internal/loctree"
 	"corgi/internal/policy"
 	"corgi/internal/proto"
+	"corgi/internal/registry"
 )
 
 func main() {
 	// ---- cloud side ----
-	sys, err := hexgrid.NewSystem(geo.SanFrancisco.Center(), 0.1)
+	// One San Francisco region: a height-2 tree (49 leaves), priors from a
+	// synthetic Gowalla sample, three service targets.
+	sf, _ := registry.BuiltinSpec("sf")
+	sf.Iterations, sf.Targets = 2, 3
+	reg, err := registry.New([]registry.Spec{sf}, registry.Options{})
 	if err != nil {
 		log.Fatal(err)
 	}
-	tree, err := loctree.NewAt(sys, geo.SanFrancisco.Center(), 2)
-	if err != nil {
-		log.Fatal(err)
-	}
-	ds, err := gowalla.Generate(gowalla.GenConfig{Seed: 1})
-	if err != nil {
-		log.Fatal(err)
-	}
-	leaf, err := gowalla.LeafPriors(ds.CheckIns, tree, 1)
-	if err != nil {
-		log.Fatal(err)
-	}
-	priors, err := loctree.NewPriors(tree, leaf)
-	if err != nil {
-		log.Fatal(err)
-	}
-	leaves := tree.LevelNodes(0)
-	targets := []geo.LatLng{tree.Center(leaves[3]), tree.Center(leaves[24]), tree.Center(leaves[44])}
-	srv, err := core.NewServer(tree, priors, targets, []float64{1, 1, 1}, core.Params{
-		Epsilon: 15, Iterations: 2, UseGraphApprox: true,
-	})
-	if err != nil {
-		log.Fatal(err)
-	}
-	handler, err := proto.NewHandler(srv, priors, 0.1)
+	handler, err := proto.NewMultiHandler(reg)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -79,7 +57,7 @@ func main() {
 		log.Fatal(err)
 	}
 
-	real := geo.SanFrancisco.Center()
+	real := sf.Center()
 	// The user wants two specific cells out of the range; only |S| = 2 is
 	// sent to the cloud.
 	realLeaf, _ := userTree.Locate(real, 0)

@@ -116,12 +116,15 @@ type Stats struct {
 	EvictedUsers uint64 `json:"evicted_users"`
 	// Cluster handoff counters (see handoff.go): exports move local spend
 	// to a forwarded report, imports merge a peer's spend in, rollbacks
-	// restore failed exports, and dupes are redeliveries the (source, seq)
-	// watermark rejected. EpsExported/EpsImported total the epsilon moved.
+	// restore failed exports, dupes are redeliveries the (source, seq)
+	// watermark rejected, and rejected are handoffs refused for a
+	// negative, non-finite or future-stamped event. EpsExported/EpsImported
+	// total the epsilon moved.
 	HandoffsExported   uint64  `json:"handoffs_exported,omitempty"`
 	HandoffsImported   uint64  `json:"handoffs_imported,omitempty"`
 	HandoffsRolledBack uint64  `json:"handoffs_rolled_back,omitempty"`
 	HandoffDupes       uint64  `json:"handoff_dupes,omitempty"`
+	HandoffsRejected   uint64  `json:"handoffs_rejected,omitempty"`
 	EpsExported        float64 `json:"eps_exported,omitempty"`
 	EpsImported        float64 `json:"eps_imported,omitempty"`
 }
@@ -146,6 +149,7 @@ func (s *Stats) Merge(o Stats) {
 	s.HandoffsImported += o.HandoffsImported
 	s.HandoffsRolledBack += o.HandoffsRolledBack
 	s.HandoffDupes += o.HandoffDupes
+	s.HandoffsRejected += o.HandoffsRejected
 	s.EpsExported += o.EpsExported
 	s.EpsImported += o.EpsImported
 }
@@ -208,6 +212,7 @@ type Accountant struct {
 	handoffsImported   uint64
 	handoffsRolledBack uint64
 	handoffDupes       uint64
+	handoffsRejected   uint64
 	epsExported        float64
 	epsImported        float64
 }
@@ -344,6 +349,7 @@ func (a *Accountant) Stats() Stats {
 		HandoffsImported:   a.handoffsImported,
 		HandoffsRolledBack: a.handoffsRolledBack,
 		HandoffDupes:       a.handoffDupes,
+		HandoffsRejected:   a.handoffsRejected,
 		EpsExported:        a.epsExported,
 		EpsImported:        a.epsImported,
 	}

@@ -32,6 +32,7 @@ package budget
 // have expired on the exporting node.
 
 import (
+	"math"
 	"sort"
 	"time"
 )
@@ -135,6 +136,13 @@ func (a *Accountant) RollbackHandoff(uid int64, seq uint64) {
 // older seq than one already applied — are ignored, which is what makes
 // retrying a forward safe. Call before Charge for the same request so the
 // handed-off spend is counted against the cap the charge checks.
+//
+// A handoff that could lower the user's spend or pin it in the window is
+// rejected whole: any event with negative, NaN or infinite epsilon, or
+// stamped more than Config.Resolution after now (an exporter stamps
+// bucket ends, at most one Resolution ahead). A rejected handoff leaves
+// the window and the (source, seq) watermark untouched and counts in
+// Stats.HandoffsRejected.
 func (a *Accountant) ImportHandoff(uid int64, h *Handoff) (applied float64, ok bool) {
 	if h == nil || h.Source == "" || len(h.Events) == 0 {
 		return 0, false
@@ -142,6 +150,10 @@ func (a *Accountant) ImportHandoff(uid int64, h *Handoff) (applied float64, ok b
 	now := a.cfg.Now()
 	a.mu.Lock()
 	defer a.mu.Unlock()
+	if !validEvents(h.Events, now.Add(a.cfg.Resolution).UnixNano()) {
+		a.handoffsRejected++
+		return 0, false
+	}
 	u := a.touchLocked(uid)
 	if u.applied == nil {
 		u.applied = make(map[string]uint64, 1)
@@ -161,6 +173,17 @@ func (a *Accountant) ImportHandoff(uid int64, h *Handoff) (applied float64, ok b
 	applied = u.total - before
 	a.epsImported += applied
 	return applied, true
+}
+
+// validEvents reports whether every event spends a finite, non-negative
+// epsilon and is stamped no later than latest (Unix nanoseconds).
+func validEvents(events []HandoffEvent, latest int64) bool {
+	for _, e := range events {
+		if e.Eps < 0 || math.IsNaN(e.Eps) || math.IsInf(e.Eps, 0) || e.AtUnixNano > latest {
+			return false
+		}
+	}
+	return true
 }
 
 // HandoffsApplied returns uid's applied import watermark for a source

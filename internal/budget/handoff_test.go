@@ -2,6 +2,7 @@ package budget
 
 import (
 	"errors"
+	"math"
 	"testing"
 	"time"
 )
@@ -169,5 +170,69 @@ func TestHandoffNothingToExport(t *testing.T) {
 	*now = now.Add(2 * time.Hour)
 	if h := a.ExportHandoff(1, "nodeA"); h != nil {
 		t.Fatalf("export of fully expired spend: %+v", h)
+	}
+}
+
+// TestHandoffRejectsForgedEvents: a handoff with any event that would
+// lower the user's spend (negative or NaN epsilon), poison it (infinite
+// epsilon) or pin it in the window past its expiry (stamped beyond one
+// Resolution ahead) is refused whole. The window and the (source, seq)
+// watermark are untouched, so the legitimate handoff with the same seq
+// still applies afterwards.
+func TestHandoffRejectsForgedEvents(t *testing.T) {
+	base := time.Unix(1_700_000_000, 0)
+	good := HandoffEvent{AtUnixNano: base.UnixNano(), Eps: 2}
+	cases := []struct {
+		name string
+		bad  HandoffEvent
+	}{
+		{"negative", HandoffEvent{AtUnixNano: base.UnixNano(), Eps: -1000}},
+		{"NaN", HandoffEvent{AtUnixNano: base.UnixNano(), Eps: math.NaN()}},
+		{"+Inf", HandoffEvent{AtUnixNano: base.UnixNano(), Eps: math.Inf(1)}},
+		{"-Inf", HandoffEvent{AtUnixNano: base.UnixNano(), Eps: math.Inf(-1)}},
+		{"future", HandoffEvent{AtUnixNano: base.Add(time.Second).UnixNano() + 1, Eps: 1}},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			_, b, _ := handoffPair(t, 10)
+			const uid = 5
+			if _, ok := b.ImportHandoff(uid, &Handoff{Source: "nodeA", Seq: 1, Events: []HandoffEvent{good}}); !ok {
+				t.Fatal("legitimate import refused")
+			}
+			forged := &Handoff{Source: "nodeA", Seq: 2, Events: []HandoffEvent{good, c.bad}}
+			if applied, ok := b.ImportHandoff(uid, forged); ok || applied != 0 {
+				t.Fatalf("forged import applied %v ok=%v", applied, ok)
+			}
+			if spent := b.Spent(uid); spent != 2 {
+				t.Fatalf("spend after rejected import %v, want 2", spent)
+			}
+			if wm := b.HandoffsApplied(uid, "nodeA"); wm != 1 {
+				t.Fatalf("watermark moved to %d by a rejected import", wm)
+			}
+			st := b.Stats()
+			if st.HandoffsRejected != 1 || st.HandoffsImported != 1 || st.HandoffDupes != 0 {
+				t.Fatalf("stats: %+v", st)
+			}
+			if applied, ok := b.ImportHandoff(uid, &Handoff{Source: "nodeA", Seq: 2, Events: []HandoffEvent{good}}); !ok || applied != 2 {
+				t.Fatalf("legitimate import after a rejection: %v %v", applied, ok)
+			}
+		})
+	}
+}
+
+// TestHandoffAcceptsBoundaryEvents: zero epsilon and a stamp exactly one
+// Resolution ahead (the latest bucket end an exporter can stamp) are
+// legitimate.
+func TestHandoffAcceptsBoundaryEvents(t *testing.T) {
+	_, b, now := handoffPair(t, 10)
+	h := &Handoff{Source: "nodeA", Seq: 1, Events: []HandoffEvent{
+		{AtUnixNano: now.UnixNano(), Eps: 0},
+		{AtUnixNano: now.Add(time.Second).UnixNano(), Eps: 3},
+	}}
+	if applied, ok := b.ImportHandoff(1, h); !ok || applied != 3 {
+		t.Fatalf("boundary import: %v %v", applied, ok)
+	}
+	if st := b.Stats(); st.HandoffsRejected != 0 {
+		t.Fatalf("stats: %+v", st)
 	}
 }

@@ -6,17 +6,17 @@ import (
 )
 
 // Peer names one cluster member and how to reach it: the corgi-stream
-// address is the member's ring identity and primary forward transport;
-// the HTTP base URL (optional) enables the JSON fallback path and peer
-// store-snapshot fetches.
+// address is the member's ring identity and its only forward transport;
+// the HTTP base URL (optional) enables peer store-snapshot fetches.
 type Peer struct {
 	// Name is the member's ring identity — the stream address, which every
 	// node's flag list spells identically, so all rings agree.
 	Name string
 	// StreamAddr is the member's corgi-stream listener (host:port).
 	StreamAddr string
-	// HTTPURL is the member's HTTP base URL (e.g. http://host:8080); empty
-	// disables the HTTP fallback and peer store fetch for this member.
+	// HTTPURL is the member's HTTP base URL (e.g. http://host:8080), used
+	// only to fetch store snapshots from it (FetchSnapshot); empty
+	// disables peer store fetch from this member.
 	HTTPURL string
 }
 

@@ -10,8 +10,8 @@
 // only replay deterministically if one RNG stream serves them. Both are
 // per-uid state, so the ring hashes uids: a user always lands on the same
 // node regardless of which node their client dialed, and the non-owner
-// nodes forward over the corgi-stream transport (HTTP fallback) instead of
-// serving locally. Budget coherence across rebalances and failovers rides
+// nodes forward over the corgi-stream transport instead of serving
+// locally. Budget coherence across rebalances and failovers rides
 // on internal/budget's windowed handoff protocol (see router.go).
 package cluster
 

@@ -12,9 +12,9 @@ package cluster
 //     node-local — sessions, RNG streams, and budget windows never cross
 //     a node boundary, which is what makes throughput scale linearly.
 //   - forwarded: another node owns the uid → relay over the peer's
-//     corgi-stream connection pool (HTTP JSON fallback when the stream
-//     transport fails), attaching this node's budget handoff for the user
-//     so spend follows the user to its owner (internal/budget/handoff.go).
+//     corgi-stream connection pool, the only node-to-node transport,
+//     attaching this node's budget handoff for the user so spend follows
+//     the user to its owner (internal/budget/handoff.go).
 //   - failover: the owner (and any closer successor) is unreachable → the
 //     ring's deterministic Sequence order names the stand-in every node
 //     agrees on; when the walk reaches this node itself, serve locally.
@@ -22,12 +22,10 @@ package cluster
 // A request already marked Forwarded is always served locally: one
 // forward maximum, so no routing loops and a bounded worst-case hop
 // count (exactly one) regardless of topology disagreement during a
-// membership change.
+// membership change (see dispatch).
 
 import (
-	"bytes"
 	"context"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
@@ -42,7 +40,6 @@ import (
 	"corgi/internal/geo"
 	"corgi/internal/hexgrid"
 	"corgi/internal/loctree"
-	"corgi/internal/policy"
 	"corgi/internal/registry"
 	"corgi/internal/store"
 	"corgi/internal/stream"
@@ -57,8 +54,8 @@ type RouterConfig struct {
 	// dial (defaults 10s / 2s — forwards should fail over quickly).
 	StreamTimeout time.Duration
 	DialTimeout   time.Duration
-	// HTTPTimeout bounds one HTTP-fallback round trip and one peer store
-	// fetch (default 30s; snapshot payloads can be MBs).
+	// HTTPTimeout bounds one peer store-snapshot fetch over HTTP (default
+	// 30s; snapshot payloads can be MBs).
 	HTTPTimeout time.Duration
 }
 
@@ -98,7 +95,6 @@ type Router struct {
 	ownerServed   atomic.Uint64
 	forwardedIn   atomic.Uint64
 	forwardedOut  atomic.Uint64
-	httpFallbacks atomic.Uint64
 	failovers     atomic.Uint64
 	failoverLocal atomic.Uint64
 	handoffsSent  atomic.Uint64
@@ -232,14 +228,55 @@ func (r *Router) exportHandoff(region string, uid int64) (h *budget.Handoff, com
 // owns (or is standing in for, or received a forward for) the uid,
 // otherwise forward to the owner with the budget handoff attached.
 func (r *Router) Report(ctx context.Context, req registry.ReportRequest) (*registry.ReportResult, error) {
-	if req.Forwarded {
-		// One hop maximum: a forwarded request is served here no matter
-		// what this node's ring says (the sender's ring may be one
-		// membership change ahead or behind — serving beats bouncing).
+	return dispatch(r, req.Forwarded, req.Region, req.UID,
+		func() (*registry.ReportResult, error) { return r.reg.Report(ctx, req) },
+		func(c *stream.Client, h *budget.Handoff) (*registry.ReportResult, error) {
+			resp, err := c.Report(stream.Request{
+				Region: req.Region, Cell: [2]int{req.Cell.Q, req.Cell.R}, UID: req.UID,
+				Policy: req.Policy, Seed: req.Seed, Count: req.Count, Forwarded: true, Handoff: h,
+			})
+			if err != nil {
+				return nil, err
+			}
+			return toReportResult(&req, resp), nil
+		})
+}
+
+// Lease implements registry.ReportHandler's lease arm with the same
+// routing as Report.
+func (r *Router) Lease(ctx context.Context, req registry.LeaseRequest) (*registry.LeaseGrant, error) {
+	return dispatch(r, req.Forwarded, req.Region, req.UID,
+		func() (*registry.LeaseGrant, error) { return r.reg.Lease(ctx, req) },
+		func(c *stream.Client, h *budget.Handoff) (*registry.LeaseGrant, error) {
+			return c.Lease(stream.Request{
+				Region: req.Region, Cell: [2]int{req.Cell.Q, req.Cell.R}, UID: req.UID,
+				Policy: req.Policy, Seed: req.Seed, Forwarded: true, Handoff: h,
+			}, req.Draws, req.Token)
+		})
+}
+
+// dispatch is the routing walk Report and Lease share. A request already
+// forwarded is served locally: one hop maximum, whatever this node's ring
+// says (the sender's ring may be one membership change ahead or behind —
+// serving beats bouncing). Otherwise the uid's ring sequence is walked:
+// this node serves when it is reached (as owner, or as stand-in for
+// unreachable members before it), and a peer gets the request over
+// corgi-stream with this node's budget handoff for the user attached.
+//
+// A peer that answers, with a result or a status error (429, 422, ...),
+// ends the walk: that is the request's real outcome, and any handoff the
+// peer imported is applied (import precedes validation), so the export
+// commits. A 404 is final too: every node runs the same region set, so
+// it is the client's error. A transport failure means the peer never
+// processed the request: the export rolls back and the walk fails over
+// to the next member.
+func dispatch[T any](r *Router, forwarded bool, region string, uid int64,
+	local func() (T, error), send func(*stream.Client, *budget.Handoff) (T, error)) (T, error) {
+	if forwarded {
 		r.forwardedIn.Add(1)
-		return r.reg.Report(ctx, req)
+		return local()
 	}
-	seq, peers := r.route(req.UID)
+	seq, peers := r.route(uid)
 	for i, member := range seq {
 		if member == r.self {
 			if i == 0 {
@@ -247,139 +284,31 @@ func (r *Router) Report(ctx context.Context, req registry.ReportRequest) (*regis
 			} else {
 				r.failoverLocal.Add(1)
 			}
-			return r.reg.Report(ctx, req)
+			return local()
 		}
 		pn := peers[member]
 		if pn == nil { // stale sequence during a SetMembers race: skip
 			continue
 		}
-		res, err, final := r.forwardReport(pn, req)
-		if final {
-			return res, err
-		}
-		r.failovers.Add(1)
-	}
-	// Unreachable: self is always in its own ring, so the loop returns at
-	// the self hop at the latest. Guard for defense in depth.
-	r.failoverLocal.Add(1)
-	return r.reg.Report(ctx, req)
-}
-
-// forwardReport relays one report to a peer: corgi-stream first, HTTP
-// JSON fallback on a transport failure. final=false means both
-// transports failed and the caller should try the next ring member.
-func (r *Router) forwardReport(pn *peerNode, req registry.ReportRequest) (*registry.ReportResult, error, bool) {
-	h, commit, rollback := r.exportHandoff(req.Region, req.UID)
-	sreq := stream.Request{
-		Region:    req.Region,
-		Cell:      [2]int{req.Cell.Q, req.Cell.R},
-		UID:       req.UID,
-		Policy:    req.Policy,
-		Seed:      req.Seed,
-		Count:     req.Count,
-		Forwarded: true,
-		Handoff:   h,
-	}
-	resp, err := pn.client.Report(sreq)
-	if err == nil {
-		r.forwardedOut.Add(1)
-		if commit != nil {
-			commit()
-		}
-		return toReportResult(&req, resp), nil, true
-	}
-	var se *stream.StatusError
-	if errors.As(err, &se) {
-		// The peer answered: its classification (429, 422, ...) is the
-		// request's real outcome, and any handoff it imported is applied
-		// (import precedes validation), so the export commits. 404 means
-		// the peer does not serve the region at all — also final: every
-		// node runs the same region set, so a 404 is the client's error.
-		r.forwardedOut.Add(1)
-		if commit != nil {
-			commit()
-		}
-		return nil, se, true
-	}
-	// Transport failure: the peer never processed the request. Restore
-	// the exported spend, then try the HTTP fallback with a fresh export.
-	if rollback != nil {
-		rollback()
-	}
-	if pn.peer.HTTPURL == "" {
-		return nil, err, false
-	}
-	res, err := r.forwardReportHTTP(pn, req)
-	if err == nil {
-		r.httpFallbacks.Add(1)
-		r.forwardedOut.Add(1)
-		return res, nil, true
-	}
-	var he *httpError
-	if errors.As(err, &he) {
-		r.httpFallbacks.Add(1)
-		r.forwardedOut.Add(1)
-		return nil, he, true
-	}
-	return nil, err, false
-}
-
-// Lease implements registry.ReportHandler's lease arm with the same
-// routing as Report. Forwarding is stream-only — the lease frame carries
-// the token and bundle natively; nodes whose stream transport is down
-// fall over to the next ring member rather than to HTTP.
-func (r *Router) Lease(ctx context.Context, req registry.LeaseRequest) (*registry.LeaseGrant, error) {
-	if req.Forwarded {
-		r.forwardedIn.Add(1)
-		return r.reg.Lease(ctx, req)
-	}
-	seq, peers := r.route(req.UID)
-	for i, member := range seq {
-		if member == r.self {
-			if i == 0 {
-				r.ownerServed.Add(1)
-			} else {
-				r.failoverLocal.Add(1)
-			}
-			return r.reg.Lease(ctx, req)
-		}
-		pn := peers[member]
-		if pn == nil {
-			continue
-		}
-		h, commit, rollback := r.exportHandoff(req.Region, req.UID)
-		sreq := stream.Request{
-			Region:    req.Region,
-			Cell:      [2]int{req.Cell.Q, req.Cell.R},
-			UID:       req.UID,
-			Policy:    req.Policy,
-			Seed:      req.Seed,
-			Forwarded: true,
-			Handoff:   h,
-		}
-		grant, err := pn.client.Lease(sreq, req.Draws, req.Token)
-		if err == nil {
-			r.forwardedOut.Add(1)
-			if commit != nil {
-				commit()
-			}
-			return grant, nil
-		}
+		h, commit, rollback := r.exportHandoff(region, uid)
+		res, err := send(pn.client, h)
 		var se *stream.StatusError
-		if errors.As(err, &se) {
+		if err == nil || errors.As(err, &se) {
 			r.forwardedOut.Add(1)
 			if commit != nil {
 				commit()
 			}
-			return nil, se
+			return res, err
 		}
 		if rollback != nil {
 			rollback()
 		}
 		r.failovers.Add(1)
 	}
+	// Unreachable: self is always in its own ring, so the walk returns at
+	// the self hop at the latest. Guard for defense in depth.
 	r.failoverLocal.Add(1)
-	return r.reg.Lease(ctx, req)
+	return local()
 }
 
 // toReportResult converts a stream response back into the registry's
@@ -412,115 +341,6 @@ func toReportResult(req *registry.ReportRequest, resp *stream.Response) *registr
 		res.Centers[i] = geo.LatLng{Lat: rep.Lat, Lng: rep.Lng}
 	}
 	return res
-}
-
-// httpError is an HTTP-fallback rejection carrying the peer's status so
-// registry.ReportErrStatus re-answers with it (same interface contract
-// as stream.StatusError).
-type httpError struct {
-	status int
-	msg    string
-}
-
-func (e *httpError) Error() string {
-	return fmt.Sprintf("cluster: peer returned %d: %s", e.status, e.msg)
-}
-func (e *httpError) HTTPStatus() int { return e.status }
-
-// fallbackReportRequest mirrors proto.ReportRequest's JSON shape (the
-// cluster package cannot import internal/proto — proto imports cluster
-// for the stats route).
-type fallbackReportRequest struct {
-	Region string `json:"region,omitempty"`
-	Cell   [2]int `json:"cell"`
-	UID    int64  `json:"uid,omitempty"`
-	policy.Policy
-	Seed      int64           `json:"seed,omitempty"`
-	Count     int             `json:"count,omitempty"`
-	Forwarded bool            `json:"forwarded,omitempty"`
-	Handoff   *budget.Handoff `json:"budget_handoff,omitempty"`
-}
-
-// fallbackReportResponse mirrors proto.ReportResponse.
-type fallbackReportResponse struct {
-	Region         string `json:"region"`
-	PrecisionLevel int    `json:"precision_l"`
-	SubtreeRoot    [2]int `json:"subtree_root"`
-	Pruned         int    `json:"pruned"`
-	Reports        []struct {
-		Q   int     `json:"q"`
-		R   int     `json:"r"`
-		Lat float64 `json:"lat"`
-		Lng float64 `json:"lng"`
-	} `json:"reports"`
-	Reanchored   bool    `json:"reanchored,omitempty"`
-	Budgeted     bool    `json:"budgeted,omitempty"`
-	EpsSpent     float64 `json:"eps_spent,omitempty"`
-	EpsRemaining float64 `json:"eps_remaining,omitempty"`
-	Degraded     bool    `json:"degraded,omitempty"`
-}
-
-// forwardReportHTTP relays one report over the peer's JSON route. A
-// non-2xx answer returns *httpError (the peer processed the request); a
-// transport error returns it bare (the caller fails over).
-func (r *Router) forwardReportHTTP(pn *peerNode, req registry.ReportRequest) (*registry.ReportResult, error) {
-	h, commit, rollback := r.exportHandoff(req.Region, req.UID)
-	body, err := json.Marshal(fallbackReportRequest{
-		Region:    req.Region,
-		Cell:      [2]int{req.Cell.Q, req.Cell.R},
-		UID:       req.UID,
-		Policy:    req.Policy,
-		Seed:      req.Seed,
-		Count:     req.Count,
-		Forwarded: true,
-		Handoff:   h,
-	})
-	if err != nil {
-		if rollback != nil {
-			rollback()
-		}
-		return nil, err
-	}
-	resp, err := r.httpc.Post(pn.peer.HTTPURL+"/v1/report", "application/json", bytes.NewReader(body))
-	if err != nil {
-		if rollback != nil {
-			rollback()
-		}
-		return nil, err
-	}
-	defer resp.Body.Close()
-	if commit != nil {
-		commit() // the peer answered; import precedes validation
-	}
-	if resp.StatusCode != http.StatusOK {
-		msg, _ := io.ReadAll(io.LimitReader(resp.Body, 4096))
-		return nil, &httpError{status: resp.StatusCode, msg: string(bytes.TrimSpace(msg))}
-	}
-	var fr fallbackReportResponse
-	if err := json.NewDecoder(io.LimitReader(resp.Body, 16<<20)).Decode(&fr); err != nil {
-		return nil, &httpError{status: http.StatusBadGateway, msg: "decoding peer response: " + err.Error()}
-	}
-	res := &registry.ReportResult{
-		Region: fr.Region,
-		SubtreeRoot: loctree.NodeID{
-			Level: req.Policy.PrivacyLevel,
-			Coord: hexgrid.Coord{Q: fr.SubtreeRoot[0], R: fr.SubtreeRoot[1]},
-		},
-		PrecisionLevel: fr.PrecisionLevel,
-		Pruned:         fr.Pruned,
-		Reanchored:     fr.Reanchored,
-		Budgeted:       fr.Budgeted,
-		EpsSpent:       fr.EpsSpent,
-		EpsRemaining:   fr.EpsRemaining,
-		Degraded:       fr.Degraded,
-		Reports:        make([]loctree.NodeID, len(fr.Reports)),
-		Centers:        make([]geo.LatLng, len(fr.Reports)),
-	}
-	for i, rep := range fr.Reports {
-		res.Reports[i] = loctree.NodeID{Level: fr.PrecisionLevel, Coord: hexgrid.Coord{Q: rep.Q, R: rep.R}}
-		res.Centers[i] = geo.LatLng{Lat: rep.Lat, Lng: rep.Lng}
-	}
-	return res, nil
 }
 
 // FetchSnapshot implements the store's PeerFetchFunc: ask every peer
@@ -573,12 +393,16 @@ type Stats struct {
 	Vnodes  int      `json:"vnodes"`
 	// OwnerServed counts requests this node served as ring owner;
 	// ForwardedIn requests relayed here by peers; ForwardedOut requests
-	// this node relayed away (HTTPFallbacks of those over JSON);
-	// Failovers forward attempts that moved on to the next ring member;
-	// FailoverLocal requests served locally as a stand-in (owner down).
-	OwnerServed   uint64 `json:"owner_served"`
-	ForwardedIn   uint64 `json:"forwarded_in"`
-	ForwardedOut  uint64 `json:"forwarded_out"`
+	// this node relayed away; Failovers forward attempts that moved on to
+	// the next ring member; FailoverLocal requests served locally as a
+	// stand-in (owner down).
+	OwnerServed  uint64 `json:"owner_served"`
+	ForwardedIn  uint64 `json:"forwarded_in"`
+	ForwardedOut uint64 `json:"forwarded_out"`
+	// HTTPFallbacks is always 0: forwards ride corgi-stream only, and the
+	// HTTP report fallback it counted is gone. It stays because existing
+	// /v1/stats consumers, the corgibench ledger among them, still decode
+	// http_fallbacks; dropping it belongs with a benchmark schema change.
 	HTTPFallbacks uint64 `json:"http_fallbacks"`
 	Failovers     uint64 `json:"failovers"`
 	FailoverLocal uint64 `json:"failover_local"`
@@ -607,7 +431,6 @@ func (r *Router) Stats() Stats {
 		OwnerServed:     r.ownerServed.Load(),
 		ForwardedIn:     r.forwardedIn.Load(),
 		ForwardedOut:    r.forwardedOut.Load(),
-		HTTPFallbacks:   r.httpFallbacks.Load(),
 		Failovers:       r.failovers.Load(),
 		FailoverLocal:   r.failoverLocal.Load(),
 		HandoffsSent:    r.handoffsSent.Load(),

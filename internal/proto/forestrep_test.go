@@ -16,41 +16,11 @@ import (
 	"testing"
 
 	"corgi/internal/core"
-	"corgi/internal/geo"
-	"corgi/internal/hexgrid"
 	"corgi/internal/loctree"
 	"corgi/internal/policy"
 	"corgi/internal/registry"
 	"corgi/internal/store"
 )
-
-// newTestTree builds a San Francisco tree of the given height.
-func newTestTree(t *testing.T, height int) *loctree.Tree {
-	t.Helper()
-	sys, err := hexgrid.NewSystem(geo.SanFrancisco.Center(), 0.1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	tree, err := loctree.NewAt(sys, geo.SanFrancisco.Center(), height)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return tree
-}
-
-// newCoreServer builds a small uniform-prior engine over tree.
-func newCoreServer(t *testing.T, tree *loctree.Tree, opts core.EngineOptions) *core.Server {
-	t.Helper()
-	leaves := tree.LevelNodes(0)
-	n := len(leaves)
-	targets := []geo.LatLng{tree.Center(leaves[0]), tree.Center(leaves[n/2]), tree.Center(leaves[n-1])}
-	srv, err := core.NewServerWithOptions(tree, loctree.UniformPriors(tree), targets, []float64{1, 1, 1},
-		core.Params{Epsilon: 15, Iterations: 1, UseGraphApprox: true}, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return srv
-}
 
 // memoReps snapshots a memo's representations under its lock.
 func memoReps(m *forestMemo) map[forestRepKey]*forestRep {
@@ -61,18 +31,6 @@ func memoReps(m *forestMemo) map[forestRepKey]*forestRep {
 		out[k] = rep
 	}
 	return out
-}
-
-// newCoreHandler serves srv through a Handler, returning both.
-func newCoreHandler(t *testing.T, srv *core.Server) (*Handler, *httptest.Server) {
-	t.Helper()
-	h, err := NewHandler(srv, srv.Priors(), 0.1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ts := httptest.NewServer(h.Mux())
-	t.Cleanup(ts.Close)
-	return h, ts
 }
 
 // rawClient neither adds nor strips content codings, so tests see the
@@ -117,8 +75,9 @@ var forestVariants = []forestVariant{
 	{"v2/gzip", true, true},
 }
 
-// fetchForest requests (level, delta) in variant v: POST /v1/matrices when
-// region is empty, GET /v1/forest?region= otherwise.
+// fetchForest requests (level, delta) in variant v: POST /v1/matrices
+// (the default region) when region is empty, GET /v1/forest?region=
+// otherwise.
 func fetchForest(t *testing.T, base, region string, level, delta int, v forestVariant, inm string) forestReply {
 	t.Helper()
 	var req *http.Request
@@ -240,8 +199,8 @@ func TestWriteRawGzipThreshold(t *testing.T) {
 // the threshold: it goes out as identity even to a gzip-offering client,
 // so its tag carries no coding suffix, and Vary still names both axes.
 func TestSmallForestNotGzipped(t *testing.T) {
-	srv := newCoreServer(t, newTestTree(t, 1), core.EngineOptions{})
-	_, ts := newCoreHandler(t, srv)
+	ts, _, sh := newTestServer(t, 1, registry.Options{})
+	srv := sh.Server
 	v := forestVariant{"v2/gzip", true, true}
 	got := fetchForest(t, ts.URL, "", 1, 0, v, "")
 	if got.status != http.StatusOK {
@@ -264,61 +223,44 @@ func TestSmallForestNotGzipped(t *testing.T) {
 }
 
 // TestForestMemoMatchesFreshEncode is the memo's differential test: on
-// both handlers and for every representation, the first 200 (encoded), a
-// repeat 200 and a 304 (both from the memo) equal a fresh encode.
+// both forest routes and for every representation, the first 200
+// (encoded), a repeat 200 and a 304 (both from the memo) equal a fresh
+// encode.
 func TestForestMemoMatchesFreshEncode(t *testing.T) {
-	srv := newCoreServer(t, newTestTree(t, 2), core.EngineOptions{})
-	single, sts := newCoreHandler(t, srv)
-
-	reg, err := registry.New(reportSpecs("sf"), registry.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	multi, err := NewMultiHandler(reg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	mts := httptest.NewServer(multi.Mux())
-	defer mts.Close()
-	sh, err := reg.Shard(context.Background(), "sf")
-	if err != nil {
-		t.Fatal(err)
-	}
-
 	cases := []struct {
-		name, base, region string
-		memo               *forestMemo
-		server             *core.Server
+		name, region string
 	}{
-		{"Handler", sts.URL, "", &single.forests, srv},
-		{"MultiHandler", mts.URL, "sf", &multi.forests, sh.Server},
+		{"POST /v1/matrices", ""},
+		{"GET /v1/forest", "sf"},
 	}
 	for _, c := range cases {
+		ts, h, sh := newTestServer(t, 2, registry.Options{})
+		srv := sh.Server
 		for _, v := range forestVariants {
 			what := c.name + " " + v.name
-			first := fetchForest(t, c.base, c.region, 1, 0, v, "")
-			forest, err := c.server.GenerateForest(1, 0)
+			first := fetchForest(t, ts.URL, c.region, 1, 0, v, "")
+			forest, err := srv.GenerateForest(1, 0)
 			if err != nil {
 				t.Fatal(err)
 			}
-			want := freshForestReply(t, c.server.Tree(), forest, v, false)
+			want := freshForestReply(t, srv.Tree(), forest, v, false)
 			if v.gz && want.encoding != "gzip" {
 				t.Fatalf("%s: test forest is under the gzip threshold", what)
 			}
 			checkReply(t, what+" first 200", first, want)
-			checkReply(t, what+" memo 200", fetchForest(t, c.base, c.region, 1, 0, v, ""), want)
-			checkReply(t, what+" memo 304", fetchForest(t, c.base, c.region, 1, 0, v, `"stale", `+want.etag),
-				freshForestReply(t, c.server.Tree(), forest, v, true))
+			checkReply(t, what+" memo 200", fetchForest(t, ts.URL, c.region, 1, 0, v, ""), want)
+			checkReply(t, what+" memo 304", fetchForest(t, ts.URL, c.region, 1, 0, v, `"stale", `+want.etag),
+				freshForestReply(t, srv.Tree(), forest, v, true))
 		}
-		reps := memoReps(c.memo)
+		reps := memoReps(&h.forests)
 		if len(reps) != len(forestVariants) {
 			t.Errorf("%s memo holds %d representations, want %d", c.name, len(reps), len(forestVariants))
 		}
 		for key, rep := range reps {
-			if key.region != c.region {
-				t.Errorf("%s memo keyed region %q, want %q", c.name, key.region, c.region)
+			if key.region != "sf" {
+				t.Errorf("%s memo keyed region %q, want %q", c.name, key.region, "sf")
 			}
-			forest, err := c.server.GenerateForest(1, 0)
+			forest, err := srv.GenerateForest(1, 0)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -340,22 +282,26 @@ func TestForestMemoInvalidation(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		tree := newTestTree(t, 2)
-		fs, err := store.NewForestStore(st, "0123456789abcdef", tree)
+		gen, err := registry.New([]registry.Spec{sfSpec(2)}, registry.Options{Store: st, WarmupDelta: -1})
 		if err != nil {
 			t.Fatal(err)
 		}
-		gen := newCoreServer(t, tree, core.EngineOptions{Store: fs})
-		if _, err := gen.GenerateForest(1, 0); err != nil {
+		genShard, err := gen.Shard(context.Background(), "sf")
+		if err != nil {
 			t.Fatal(err)
 		}
-		gen.FlushStore()
+		if _, err := genShard.Server.GenerateForest(1, 0); err != nil {
+			t.Fatal(err)
+		}
+		gen.FlushStores()
 
 		// A 1 KiB cache holds at most one or two of the level's entries,
 		// so every request reloads the rest from the store as new objects.
-		srv := newCoreServer(t, tree, core.EngineOptions{CacheBytes: 1 << 10, Store: fs})
-		h, ts := newCoreHandler(t, srv)
-		key := forestRepKey{level: 1, delta: 0, v2: true, gzip: true}
+		ts, h, sh := newTestServer(t, 2, registry.Options{
+			Store: st, Engine: core.EngineOptions{CacheBytes: 1 << 10},
+		})
+		srv := sh.Server
+		key := forestRepKey{region: "sf", level: 1, delta: 0, v2: true, gzip: true}
 
 		first := fetchForest(t, ts.URL, "", 1, 0, v, "")
 		rep1 := memoReps(&h.forests)[key]
@@ -386,7 +332,10 @@ func TestForestMemoInvalidation(t *testing.T) {
 	})
 
 	t.Run("degraded upgraded", func(t *testing.T) {
-		srv := newCoreServer(t, newTestTree(t, 2), core.EngineOptions{DegradedServing: true})
+		_, _, sh := newTestServer(t, 2, registry.Options{
+			Engine: core.EngineOptions{DegradedServing: true},
+		})
+		srv := sh.Server
 		tree := srv.Tree()
 		// Cold entries come back as fallbacks; one whose upgrade raced
 		// ahead of its own return may already be optimal.

@@ -16,7 +16,6 @@ import (
 	"net/http"
 	"strconv"
 
-	"corgi/internal/budget"
 	"corgi/internal/hexgrid"
 	"corgi/internal/policy"
 	"corgi/internal/registry"
@@ -40,10 +39,6 @@ type LeaseRequest struct {
 	Draws int `json:"draws,omitempty"`
 	// Token renews a previous lease (base64 on the wire).
 	Token []byte `json:"token,omitempty"`
-	// Forwarded and Handoff mirror ReportRequest: cluster-internal
-	// one-hop forwarding plus the owner-to-owner budget handoff.
-	Forwarded bool            `json:"forwarded,omitempty"`
-	Handoff   *budget.Handoff `json:"budget_handoff,omitempty"`
 }
 
 // LeaseResponse is an issued lease: the signed token, the encoded bundle,
@@ -121,15 +116,13 @@ func (h *MultiHandler) handleLease(w http.ResponseWriter, r *http.Request) {
 	ctx, cancel := h.requestCtx(r)
 	defer cancel()
 	grant, err := h.handler().Lease(ctx, registry.LeaseRequest{
-		Region:    req.Region,
-		Cell:      hexgrid.Coord{Q: req.Cell[0], R: req.Cell[1]},
-		UID:       req.UID,
-		Policy:    req.Policy,
-		Seed:      req.Seed,
-		Draws:     req.Draws,
-		Token:     req.Token,
-		Forwarded: req.Forwarded,
-		Handoff:   req.Handoff,
+		Region: req.Region,
+		Cell:   hexgrid.Coord{Q: req.Cell[0], R: req.Cell[1]},
+		UID:    req.UID,
+		Policy: req.Policy,
+		Seed:   req.Seed,
+		Draws:  req.Draws,
+		Token:  req.Token,
 	})
 	if err != nil {
 		status, msg := reportErrStatus(err)

@@ -6,6 +6,11 @@
 // contents — and receive the privacy forest of robust matrices to customize
 // locally.
 //
+// One handler, MultiHandler (multi.go), serves every route over a
+// registry of region shards; a single-region deployment is a registry
+// with one region, addressed by omitting ?region=. Client is its
+// counterpart.
+//
 // Two wire formats coexist. v1 is dense row-major JSON ([][]float64),
 // served as plain application/json for compatibility. v2 (see wire.go) is a
 // quantized row-sparse binary encoding negotiated via the Accept header
@@ -18,17 +23,19 @@
 // restarts because generation is deterministic and the v2 quantization
 // idempotent) plus Vary: Accept, Accept-Encoding, and requests with a
 // matching If-None-Match get 304 Not Modified with no body, so clients can
-// keep their own on-disk forest caches and revalidate for free. Each
+// keep their own on-disk forest caches and revalidate for free. The
 // handler memoizes every forest's final representation, so 200s and 304s
 // for an unchanged forest skip encoding, hashing and compression. Requests
 // carry the caller's context through the handler into the generation
-// engine, bounded by Handler.Timeout.
+// engine, bounded by MultiHandler.Timeout.
 //
-// Multi-region servers additionally expose the report pipeline (POST
-// /v1/report, batch /v1/reports; see report.go): the server evaluates the
-// inline policy, prunes, and draws obfuscated reports from per-user
-// sessions — a trusted-serving mode that trades Sec. 5's trust model for
-// per-report draws instead of matrix shipping.
+// The handler also exposes the report pipeline (POST /v1/report, batch
+// /v1/reports, leases on /v1/lease; see report.go and lease.go): the
+// server evaluates the inline policy, prunes, and draws obfuscated
+// reports from per-user sessions — a trusted-serving mode that trades
+// Sec. 5's trust model for per-report draws instead of matrix shipping.
+// These routes accept client fields only: cluster forwarding and budget
+// handoffs travel between nodes over corgi-stream, never through them.
 package proto
 
 import (
@@ -94,27 +101,6 @@ type PriorsResponse struct {
 	Probs  []float64 `json:"probs"`
 }
 
-// Handler serves the CORGI server API:
-//
-//	GET  /healthz     -> "ok" (liveness)
-//	GET  /v1/stats    -> StatsResponse (engine cache/solve counters)
-//	GET  /v1/tree     -> TreeResponse
-//	GET  /v1/priors   -> PriorsResponse
-//	POST /v1/matrices -> ForestResponse, or ForestResponseV2 when the
-//	                     request Accepts ContentTypeForestV2
-type Handler struct {
-	server  *core.Server
-	tree    *loctree.Tree
-	priors  *loctree.Priors
-	spacing float64
-
-	// Timeout bounds each /v1/matrices generation; zero means the request
-	// context alone governs cancellation. Expiry returns 504.
-	Timeout time.Duration
-
-	forests forestMemo
-}
-
 // StatsResponse mirrors core.EngineStats for /v1/stats.
 type StatsResponse struct {
 	Hits               uint64 `json:"cache_hits"`
@@ -138,30 +124,6 @@ type StatsResponse struct {
 	DegradedUpgrades   uint64 `json:"degraded_upgrades"`
 	WarmAttempts       uint64 `json:"warm_attempts"`
 	WarmAccepts        uint64 `json:"warm_accepts"`
-}
-
-// NewHandler wires a core server into an http.Handler.
-func NewHandler(server *core.Server, priors *loctree.Priors, leafSpacingKm float64) (*Handler, error) {
-	if server == nil || priors == nil {
-		return nil, fmt.Errorf("proto: nil server or priors")
-	}
-	return &Handler{
-		server:  server,
-		tree:    server.Tree(),
-		priors:  priors,
-		spacing: leafSpacingKm,
-	}, nil
-}
-
-// Mux returns the routed handler.
-func (h *Handler) Mux() *http.ServeMux {
-	mux := http.NewServeMux()
-	mux.HandleFunc("/healthz", h.handleHealthz)
-	mux.HandleFunc("/v1/stats", h.handleStats)
-	mux.HandleFunc("/v1/tree", h.handleTree)
-	mux.HandleFunc("/v1/priors", h.handlePriors)
-	mux.HandleFunc("/v1/matrices", h.handleMatrices)
-	return mux
 }
 
 // writeJSONAs encodes v with the given content type, gzipping when the
@@ -277,15 +239,6 @@ func writeJSONPooled(w http.ResponseWriter, r *http.Request, v interface{}) {
 // the next request pays a fresh TCP (and possibly TLS) setup.
 func drainBody(body io.Reader) {
 	io.Copy(io.Discard, io.LimitReader(body, 64<<10))
-}
-
-func (h *Handler) handleHealthz(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodGet {
-		http.Error(w, "GET only", http.StatusMethodNotAllowed)
-		return
-	}
-	w.Header().Set("Content-Type", "text/plain; charset=utf-8")
-	io.WriteString(w, "ok\n")
 }
 
 // statsResponse converts engine counters to their wire form.
@@ -509,55 +462,6 @@ func encodeForestRep(tree *loctree.Tree, forest *core.Forest, v2, offersGzip boo
 	return rep, nil
 }
 
-func (h *Handler) handleStats(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodGet {
-		http.Error(w, "GET only", http.StatusMethodNotAllowed)
-		return
-	}
-	writeJSON(w, statsResponse(h.server.Stats()))
-}
-
-func (h *Handler) handleTree(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodGet {
-		http.Error(w, "GET only", http.StatusMethodNotAllowed)
-		return
-	}
-	writeJSON(w, treeResponse(h.tree, h.spacing, h.server.Params().Epsilon))
-}
-
-func (h *Handler) handlePriors(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodGet {
-		http.Error(w, "GET only", http.StatusMethodNotAllowed)
-		return
-	}
-	writeJSON(w, priorsResponse(h.tree, h.priors))
-}
-
-func (h *Handler) handleMatrices(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodPost {
-		http.Error(w, "POST only", http.StatusMethodNotAllowed)
-		return
-	}
-	var req MatrixRequest
-	if err := json.NewDecoder(io.LimitReader(r.Body, 1<<20)).Decode(&req); err != nil {
-		http.Error(w, "bad request: "+err.Error(), http.StatusBadRequest)
-		return
-	}
-	ctx := r.Context()
-	if h.Timeout > 0 {
-		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(ctx, h.Timeout)
-		defer cancel()
-	}
-	forest, err := h.server.GenerateForestCtx(ctx, req.PrivacyLevel, req.Delta)
-	if err != nil {
-		status, msg := generateErrStatus(err)
-		http.Error(w, msg, status)
-		return
-	}
-	h.forests.serve(w, r, "", h.tree, forest)
-}
-
 // EncodeForestV1 converts a generated forest into the dense v1 wire form,
 // emitting entries in the tree's level-node order.
 func EncodeForestV1(tree *loctree.Tree, forest *core.Forest) (*ForestResponse, error) {
@@ -630,8 +534,8 @@ func (c *Client) path(p string) string {
 	return p + "?region=" + url.QueryEscape(c.region)
 }
 
-// FetchRegions lists the server's regions. Pre-sharding servers have no
-// /v1/regions route; callers get their 404 as an error.
+// FetchRegions lists the server's regions and which one requests without
+// a region resolve to.
 func (c *Client) FetchRegions() (*RegionsResponse, error) {
 	var rr RegionsResponse
 	if err := c.getJSON("/v1/regions", &rr); err != nil {

@@ -1,6 +1,7 @@
 package proto
 
 import (
+	"context"
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
@@ -9,46 +10,45 @@ import (
 
 	"corgi/internal/core"
 	"corgi/internal/geo"
-	"corgi/internal/hexgrid"
-	"corgi/internal/loctree"
 	"corgi/internal/policy"
+	"corgi/internal/registry"
 )
 
-func newTestServer(t *testing.T) (*httptest.Server, *core.Server, *loctree.Priors) {
-	t.Helper()
-	sys, err := hexgrid.NewSystem(geo.SanFrancisco.Center(), 0.1)
-	if err != nil {
-		t.Fatal(err)
+// sfSpec is the San Francisco region the handler tests serve: a tree of
+// the given height (2 -> 49 leaves), three targets, uniform priors.
+func sfSpec(height int) registry.Spec {
+	c := geo.SanFrancisco.Center()
+	return registry.Spec{
+		Name: "sf", CenterLat: c.Lat, CenterLng: c.Lng,
+		Height: height, Iterations: 1, Targets: 3, UniformPriors: true,
 	}
-	tree, err := loctree.NewAt(sys, geo.SanFrancisco.Center(), 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	priors := loctree.UniformPriors(tree)
-	leaves := tree.LevelNodes(0)
-	targets := []geo.LatLng{tree.Center(leaves[0]), tree.Center(leaves[20]), tree.Center(leaves[40])}
-	srv, err := core.NewServer(tree, priors, targets, []float64{1, 1, 1}, core.Params{
-		Epsilon: 15, Iterations: 2, UseGraphApprox: true,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	h, err := NewHandler(srv, priors, 0.1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return httptest.NewServer(h.Mux()), srv, priors
 }
 
-func TestNewHandlerValidation(t *testing.T) {
-	if _, err := NewHandler(nil, nil, 0.1); err == nil {
-		t.Error("nil server must fail")
+// newTestServer serves the sfSpec region of the given height through a
+// MultiHandler and returns the handler and the bootstrapped shard. Warmup
+// is off, so the engine counters count only what the test requests.
+func newTestServer(t *testing.T, height int, opts registry.Options) (*httptest.Server, *MultiHandler, *registry.Shard) {
+	t.Helper()
+	opts.WarmupDelta = -1
+	reg, err := registry.New([]registry.Spec{sfSpec(height)}, opts)
+	if err != nil {
+		t.Fatal(err)
 	}
+	sh, err := reg.Shard(context.Background(), "sf")
+	if err != nil {
+		t.Fatal(err)
+	}
+	h, err := NewMultiHandler(reg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ts := httptest.NewServer(h.Mux())
+	t.Cleanup(ts.Close)
+	return ts, h, sh
 }
 
 func TestFullClientServerRoundTrip(t *testing.T) {
-	ts, _, _ := newTestServer(t)
-	defer ts.Close()
+	ts, _, _ := newTestServer(t, 2, registry.Options{})
 	c := NewClient(ts.URL)
 
 	tree, tr, err := c.FetchTree()
@@ -85,8 +85,7 @@ func TestFullClientServerRoundTrip(t *testing.T) {
 }
 
 func TestServerRejectsBadRequests(t *testing.T) {
-	ts, _, _ := newTestServer(t)
-	defer ts.Close()
+	ts, _, _ := newTestServer(t, 2, registry.Options{})
 
 	// Wrong methods.
 	resp, err := http.Post(ts.URL+"/v1/tree", "application/json", strings.NewReader("{}"))

@@ -9,7 +9,6 @@ import (
 	"net/http"
 	"sync"
 
-	"corgi/internal/budget"
 	"corgi/internal/hexgrid"
 	"corgi/internal/policy"
 	"corgi/internal/registry"
@@ -44,14 +43,6 @@ type ReportRequest struct {
 	// Count is how many reports to draw (default 1, bounded by the
 	// handler's MaxReportCount).
 	Count int `json:"count,omitempty"`
-	// Forwarded marks a node-to-node forward inside a cluster: the
-	// receiver serves locally instead of re-routing, which bounds every
-	// request to at most one forwarding hop.
-	Forwarded bool `json:"forwarded,omitempty"`
-	// Handoff carries the user's live epsilon spend from the node that
-	// owned them before a rebalance or failover; the receiver merges it
-	// before charging so the window budget stays coherent across moves.
-	Handoff *budget.Handoff `json:"budget_handoff,omitempty"`
 }
 
 // ReportedLocation is one drawn report: the node's axial coordinate and
@@ -128,14 +119,12 @@ func (h *MultiHandler) resolveReport(ctx context.Context, req ReportRequest) (*R
 			fmt.Sprintf("count %d exceeds limit %d", req.Count, maxCount)
 	}
 	res, err := h.handler().Report(ctx, registry.ReportRequest{
-		Region:    req.Region,
-		Cell:      hexgrid.Coord{Q: req.Cell[0], R: req.Cell[1]},
-		UID:       req.UID,
-		Policy:    req.Policy,
-		Seed:      req.Seed,
-		Count:     req.Count,
-		Forwarded: req.Forwarded,
-		Handoff:   req.Handoff,
+		Region: req.Region,
+		Cell:   hexgrid.Coord{Q: req.Cell[0], R: req.Cell[1]},
+		UID:    req.UID,
+		Policy: req.Policy,
+		Seed:   req.Seed,
+		Count:  req.Count,
 	})
 	if err != nil {
 		status, msg := reportErrStatus(err)

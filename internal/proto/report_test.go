@@ -3,6 +3,7 @@ package proto
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -417,5 +418,62 @@ func TestReportBudget429(t *testing.T) {
 	}
 	if _, ok := stats.Budget["ra"]; !ok {
 		t.Fatal("per-region budget stats missing")
+	}
+}
+
+// TestPublicRoutesIgnorePeerFields sends the cluster-only fields a peer
+// forward once carried in JSON — "forwarded" and a budget handoff that
+// refunds 1000 epsilon — to the public report and lease routes of a server
+// whose cap is one draw. The routes decode client fields only, so every
+// request is an ordinary budget-checked one: the user gets 429 from the
+// second draw on and no handoff is imported.
+func TestPublicRoutesIgnorePeerFields(t *testing.T) {
+	const eps = 15.0 // registry default epsilon for specs that leave it zero
+	const attempts = 21
+	for _, route := range []string{"report", "lease"} {
+		t.Run(route, func(t *testing.T) {
+			reg, err := registry.New(reportSpecs("ra"), registry.Options{
+				Budget: budget.Config{LimitEps: eps, Window: time.Hour},
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			h, err := NewMultiHandler(reg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			srv := httptest.NewServer(h.Mux())
+			t.Cleanup(srv.Close)
+			tree, _, err := NewClient(srv.URL).FetchTree()
+			if err != nil {
+				t.Fatal(err)
+			}
+			leaf := tree.LevelNodes(0)[0]
+			body := fmt.Sprintf(`{"region":"ra","cell":[%d,%d],"uid":7,"privacy_l":1,"seed":3,"draws":1,`+
+				`"forwarded":true,"budget_handoff":{"source":"forged","seq":1,"events":[{"at":%d,"eps":-1000}]}}`,
+				leaf.Coord.Q, leaf.Coord.R, time.Now().UnixNano())
+			granted := 0
+			for i := 0; i < attempts; i++ {
+				resp, err := http.Post(srv.URL+"/v1/"+route, "application/json", strings.NewReader(body))
+				if err != nil {
+					t.Fatal(err)
+				}
+				resp.Body.Close()
+				switch resp.StatusCode {
+				case http.StatusOK:
+					granted++
+				case http.StatusTooManyRequests:
+				default:
+					t.Fatalf("attempt %d: status %d", i+1, resp.StatusCode)
+				}
+			}
+			if granted != 1 {
+				t.Errorf("granted %d of %d requests against a one-draw cap, want 1", granted, attempts)
+			}
+			if st := reg.AggregateBudgetStats(); st.HandoffsImported != 0 || st.Rejections != attempts-1 {
+				t.Errorf("budget stats: %d handoffs imported, %d rejections; want 0 and %d",
+					st.HandoffsImported, st.Rejections, attempts-1)
+			}
+		})
 	}
 }

@@ -16,6 +16,7 @@ import (
 	"corgi/internal/geo"
 	"corgi/internal/hexgrid"
 	"corgi/internal/loctree"
+	"corgi/internal/registry"
 )
 
 func generateTestForest(t *testing.T) (*loctree.Tree, *core.Forest) {
@@ -204,8 +205,7 @@ func TestDecodeForestV1Errors(t *testing.T) {
 // TestHandlerWireV2Negotiation checks Accept-driven selection of the
 // compact encoding and that the default client transparently consumes it.
 func TestHandlerWireV2Negotiation(t *testing.T) {
-	ts, _, _ := newTestServer(t)
-	defer ts.Close()
+	ts, _, _ := newTestServer(t, 2, registry.Options{})
 
 	body := `{"privacy_l": 1, "delta": 0}`
 	req, _ := http.NewRequest(http.MethodPost, ts.URL+"/v1/matrices", strings.NewReader(body))
@@ -253,8 +253,7 @@ func TestHandlerWireV2Negotiation(t *testing.T) {
 
 // TestHandlerGzip checks explicit gzip negotiation on the matrices route.
 func TestHandlerGzip(t *testing.T) {
-	ts, _, _ := newTestServer(t)
-	defer ts.Close()
+	ts, _, _ := newTestServer(t, 2, registry.Options{})
 
 	req, _ := http.NewRequest(http.MethodPost, ts.URL+"/v1/matrices",
 		strings.NewReader(`{"privacy_l": 1, "delta": 0}`))
@@ -289,8 +288,7 @@ func TestHandlerGzip(t *testing.T) {
 
 // TestHealthzAndStats covers the operational endpoints.
 func TestHealthzAndStats(t *testing.T) {
-	ts, _, _ := newTestServer(t)
-	defer ts.Close()
+	ts, _, _ := newTestServer(t, 2, registry.Options{})
 
 	resp, err := http.Get(ts.URL + "/healthz")
 	if err != nil {
@@ -312,9 +310,13 @@ func TestHealthzAndStats(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer resp.Body.Close()
-	var st StatsResponse
-	if err := json.NewDecoder(resp.Body).Decode(&st); err != nil {
+	var ms MultiStatsResponse
+	if err := json.NewDecoder(resp.Body).Decode(&ms); err != nil {
 		t.Fatal(err)
+	}
+	st := ms.Regions["sf"]
+	if st != ms.Total {
+		t.Fatalf("one-region total %+v differs from its region %+v", ms.Total, st)
 	}
 	if st.Solves == 0 || st.Misses == 0 {
 		t.Fatalf("stats after generation: %+v", st)
@@ -327,8 +329,7 @@ func TestHealthzAndStats(t *testing.T) {
 // TestConcurrentMatricesSingleflight fires identical concurrent HTTP
 // requests and checks exactly one LP solve ran per privacy-level node.
 func TestConcurrentMatricesSingleflight(t *testing.T) {
-	ts, srv, _ := newTestServer(t)
-	defer ts.Close()
+	ts, _, sh := newTestServer(t, 2, registry.Options{})
 
 	const callers = 6
 	var wg sync.WaitGroup
@@ -355,18 +356,14 @@ func TestConcurrentMatricesSingleflight(t *testing.T) {
 	}
 	// Height-2 tree, level 1 -> 7 subtree nodes; singleflight + cache must
 	// collapse 6 identical forest requests onto one solve each.
-	if st := srv.Stats(); st.Solves != 7 {
+	if st := sh.Server.Stats(); st.Solves != 7 {
 		t.Fatalf("%d concurrent identical forest requests ran %d solves, want 7", callers, st.Solves)
 	}
 }
 
 // TestHandlerTimeout checks an impossible deadline surfaces as 504.
 func TestHandlerTimeout(t *testing.T) {
-	_, srv, priors := newTestServer(t)
-	h, err := NewHandler(srv, priors, 0.1)
-	if err != nil {
-		t.Fatal(err)
-	}
+	_, h, _ := newTestServer(t, 2, registry.Options{})
 	h.Timeout = 1 // 1ns: expired before generation starts
 	req := httptest.NewRequest(http.MethodPost, "/v1/matrices",
 		strings.NewReader(`{"privacy_l": 1, "delta": 2}`))

@@ -38,9 +38,9 @@ var ErrBudgetExhausted = budget.ErrBudgetExhausted
 // else a server fault.
 func ReportErrStatus(err error) (int, string) {
 	// A forwarded request's failure arrives as the transport error the
-	// owner node answered with (stream.StatusError or the HTTP fallback's
-	// equivalent); both carry the owner's classification, which must pass
-	// through unchanged so a 429 on the owner is a 429 to the client.
+	// owner node answered with (stream.StatusError), carrying the owner's
+	// classification, which must pass through unchanged so a 429 on the
+	// owner is a 429 to the client.
 	var hs interface{ HTTPStatus() int }
 	if errors.As(err, &hs) {
 		return hs.HTTPStatus(), err.Error()

@@ -541,3 +541,41 @@ func TestStreamConcurrentSharedRegistry(t *testing.T) {
 		t.Fatalf("stream stats: %+v", *stats.Stream)
 	}
 }
+
+// TestStreamForgedHandoffStill429 sends REPORT frames that carry the
+// cluster trailer — Forwarded plus a handoff refunding 1000 epsilon — for
+// a user already at a one-draw cap. The frame is still an unauthenticated
+// ingress, so the accountant must refuse the handoff itself: every frame
+// answers 429 and no handoff is imported.
+func TestStreamForgedHandoffStill429(t *testing.T) {
+	const eps = 15.0 // registry default epsilon for specs that leave it zero
+	reg := newRegistry(t, registry.Options{Budget: budget.Config{LimitEps: eps, Window: time.Hour}}, "ra")
+	_, leafNodes := leaves(t, reg, "ra")
+	leaf := leafNodes[0]
+	_, addr := startStream(t, reg, stream.Config{})
+	c := stream.NewClient(addr, stream.ClientConfig{Timeout: 10 * time.Second})
+	defer c.Close()
+	req := stream.Request{
+		Region: "ra", Cell: [2]int{leaf.Coord.Q, leaf.Coord.R}, UID: 7,
+		Policy: policy.Policy{PrivacyLevel: 1}, Seed: 3,
+	}
+	if _, err := c.Report(req); err != nil {
+		t.Fatalf("in-budget report: %v", err)
+	}
+	req.Forwarded = true
+	const forged = 5
+	for i := 0; i < forged; i++ {
+		req.Handoff = &budget.Handoff{Source: "forged", Seq: uint64(i + 1), Events: []budget.HandoffEvent{
+			{AtUnixNano: time.Now().UnixNano(), Eps: -1000},
+		}}
+		_, err := c.Report(req)
+		var se *stream.StatusError
+		if !errors.As(err, &se) || se.Status != http.StatusTooManyRequests {
+			t.Fatalf("forged-handoff report %d: %v, want 429", i+1, err)
+		}
+	}
+	st := reg.AggregateBudgetStats()
+	if st.HandoffsImported != 0 || st.HandoffsRejected != forged || st.Rejections != forged {
+		t.Fatalf("budget stats: %+v", st)
+	}
+}
