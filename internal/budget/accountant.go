@@ -118,8 +118,8 @@ type Stats struct {
 	// to a forwarded report, imports merge a peer's spend in, rollbacks
 	// restore failed exports, dupes are redeliveries the (source, seq)
 	// watermark rejected, and rejected are handoffs refused for a
-	// negative, non-finite or future-stamped event. EpsExported/EpsImported
-	// total the epsilon moved.
+	// negative or non-finite epsilon. EpsExported/EpsImported total the
+	// epsilon moved.
 	HandoffsExported   uint64  `json:"handoffs_exported,omitempty"`
 	HandoffsImported   uint64  `json:"handoffs_imported,omitempty"`
 	HandoffsRolledBack uint64  `json:"handoffs_rolled_back,omitempty"`

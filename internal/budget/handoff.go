@@ -25,7 +25,10 @@ package budget
 //     counts the spend, which over-restricts the user. Over-counting is
 //     the privacy-conservative direction; under-counting (over-spend) is
 //     impossible by construction because no path discards an uncommitted
-//     export.
+//     export, and the importer refuses only handoffs no exporter produces
+//     (negative or non-finite epsilon). Clock skew between nodes cannot
+//     get a legitimate handoff refused: a stamp ahead of the importer's
+//     clock is clamped, not rejected (see ImportHandoff).
 //
 // Handoffs carry event timestamps, not totals, so the receiver's window
 // keeps sliding correctly: imported spend expires exactly when it would
@@ -137,12 +140,20 @@ func (a *Accountant) RollbackHandoff(uid int64, seq uint64) {
 // retrying a forward safe. Call before Charge for the same request so the
 // handed-off spend is counted against the cap the charge checks.
 //
-// A handoff that could lower the user's spend or pin it in the window is
-// rejected whole: any event with negative, NaN or infinite epsilon, or
-// stamped more than Config.Resolution after now (an exporter stamps
-// bucket ends, at most one Resolution ahead). A rejected handoff leaves
+// A handoff that could lower the user's spend is rejected whole: any
+// event with negative, NaN or infinite epsilon. A rejected handoff leaves
 // the window and the (source, seq) watermark untouched and counts in
-// Stats.HandoffsRejected.
+// Stats.HandoffsRejected. No legitimate exporter produces such an event,
+// since Charge refuses non-positive epsilon.
+//
+// An event stamped later than one Resolution after now is merged with its
+// stamp clamped to now+Resolution rather than refused. An exporter stamps
+// bucket ends, at most one Resolution ahead of its own clock, so a later
+// stamp is either a forged attempt to pin spend in the window or a
+// legitimate event from a node whose clock runs ahead of this one.
+// Clamping bounds how long the event stays in the window and still
+// counts its spend; refusing it would drop the whole exported window
+// once the exporter commits.
 func (a *Accountant) ImportHandoff(uid int64, h *Handoff) (applied float64, ok bool) {
 	if h == nil || h.Source == "" || len(h.Events) == 0 {
 		return 0, false
@@ -150,7 +161,7 @@ func (a *Accountant) ImportHandoff(uid int64, h *Handoff) (applied float64, ok b
 	now := a.cfg.Now()
 	a.mu.Lock()
 	defer a.mu.Unlock()
-	if !validEvents(h.Events, now.Add(a.cfg.Resolution).UnixNano()) {
+	if !validEps(h.Events) {
 		a.handoffsRejected++
 		return 0, false
 	}
@@ -163,9 +174,10 @@ func (a *Accountant) ImportHandoff(uid int64, h *Handoff) (applied float64, ok b
 		return 0, false
 	}
 	u.applied[h.Source] = h.Seq
+	latest := now.Add(a.cfg.Resolution).UnixNano()
 	events := make([]spend, len(h.Events))
 	for i, e := range h.Events {
-		events[i] = spend{at: time.Unix(0, e.AtUnixNano), eps: e.Eps}
+		events[i] = spend{at: time.Unix(0, min(e.AtUnixNano, latest)), eps: e.Eps}
 	}
 	before := u.expire(now, a.cfg.Window)
 	u.merge(events, now, a.cfg.Window)
@@ -175,11 +187,11 @@ func (a *Accountant) ImportHandoff(uid int64, h *Handoff) (applied float64, ok b
 	return applied, true
 }
 
-// validEvents reports whether every event spends a finite, non-negative
-// epsilon and is stamped no later than latest (Unix nanoseconds).
-func validEvents(events []HandoffEvent, latest int64) bool {
+// validEps reports whether every event spends a finite, non-negative
+// epsilon.
+func validEps(events []HandoffEvent) bool {
 	for _, e := range events {
-		if e.Eps < 0 || math.IsNaN(e.Eps) || math.IsInf(e.Eps, 0) || e.AtUnixNano > latest {
+		if e.Eps < 0 || math.IsNaN(e.Eps) || math.IsInf(e.Eps, 0) {
 			return false
 		}
 	}

@@ -174,11 +174,10 @@ func TestHandoffNothingToExport(t *testing.T) {
 }
 
 // TestHandoffRejectsForgedEvents: a handoff with any event that would
-// lower the user's spend (negative or NaN epsilon), poison it (infinite
-// epsilon) or pin it in the window past its expiry (stamped beyond one
-// Resolution ahead) is refused whole. The window and the (source, seq)
-// watermark are untouched, so the legitimate handoff with the same seq
-// still applies afterwards.
+// lower the user's spend (negative or NaN epsilon) or poison it (infinite
+// epsilon) is refused whole. The window and the (source, seq) watermark
+// are untouched, so the legitimate handoff with the same seq still
+// applies afterwards.
 func TestHandoffRejectsForgedEvents(t *testing.T) {
 	base := time.Unix(1_700_000_000, 0)
 	good := HandoffEvent{AtUnixNano: base.UnixNano(), Eps: 2}
@@ -190,7 +189,6 @@ func TestHandoffRejectsForgedEvents(t *testing.T) {
 		{"NaN", HandoffEvent{AtUnixNano: base.UnixNano(), Eps: math.NaN()}},
 		{"+Inf", HandoffEvent{AtUnixNano: base.UnixNano(), Eps: math.Inf(1)}},
 		{"-Inf", HandoffEvent{AtUnixNano: base.UnixNano(), Eps: math.Inf(-1)}},
-		{"future", HandoffEvent{AtUnixNano: base.Add(time.Second).UnixNano() + 1, Eps: 1}},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
@@ -231,6 +229,77 @@ func TestHandoffAcceptsBoundaryEvents(t *testing.T) {
 	}}
 	if applied, ok := b.ImportHandoff(1, h); !ok || applied != 3 {
 		t.Fatalf("boundary import: %v %v", applied, ok)
+	}
+	if st := b.Stats(); st.HandoffsRejected != 0 {
+		t.Fatalf("stats: %+v", st)
+	}
+}
+
+// TestHandoffClampsFutureStamps: an event stamped far ahead of the
+// importer's clock is merged with its stamp clamped to one Resolution
+// ahead, so its spend counts but it cannot stay in the window longer than
+// an event charged now.
+func TestHandoffClampsFutureStamps(t *testing.T) {
+	_, b, now := handoffPair(t, 10)
+	const uid = 11
+	h := &Handoff{Source: "nodeA", Seq: 1, Events: []HandoffEvent{
+		{AtUnixNano: now.Add(1000 * time.Hour).UnixNano(), Eps: 4},
+	}}
+	if applied, ok := b.ImportHandoff(uid, h); !ok || applied != 4 {
+		t.Fatalf("future-stamped import: %v %v", applied, ok)
+	}
+	if st := b.Stats(); st.HandoffsRejected != 0 || st.HandoffsImported != 1 {
+		t.Fatalf("stats: %+v", st)
+	}
+	// The clamped stamp is now+Resolution (1s by default), so the spend
+	// expires one window after it, not one window after the forged stamp.
+	*now = now.Add(time.Hour)
+	if spent := b.Spent(uid); spent != 4 {
+		t.Fatalf("spend before the clamped expiry %v, want 4", spent)
+	}
+	*now = now.Add(time.Second)
+	if spent := b.Spent(uid); spent != 0 {
+		t.Fatalf("clamped spend did not expire: %v", spent)
+	}
+}
+
+// TestHandoffSkewedClocks: the importer's clock runs a few ms behind the
+// exporter's, and the exporter charged in the first ms of a bucket, so
+// the exported bucket-end stamp lies more than one Resolution ahead of
+// the importer's now. The handoff must still apply: once the exporter
+// commits, the importer is the only node counting that spend.
+func TestHandoffSkewedClocks(t *testing.T) {
+	bucket := time.Unix(1_700_000_000, 0)
+	exporterNow := bucket.Add(time.Millisecond)
+	importerNow := exporterNow.Add(-5 * time.Millisecond)
+	a, err := NewAccountant(Config{LimitEps: 10, Window: time.Hour, Now: func() time.Time { return exporterNow }})
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, err := NewAccountant(Config{LimitEps: 10, Window: time.Hour, Now: func() time.Time { return importerNow }})
+	if err != nil {
+		t.Fatal(err)
+	}
+	const uid = 13
+	if _, err := a.Charge(uid, 6); err != nil {
+		t.Fatal(err)
+	}
+	h := a.ExportHandoff(uid, "nodeA")
+	if h == nil {
+		t.Fatal("no handoff")
+	}
+	if latest := importerNow.Add(time.Second).UnixNano(); h.Events[0].AtUnixNano <= latest {
+		t.Fatalf("stamp %d not ahead of the importer's now+Resolution %d", h.Events[0].AtUnixNano, latest)
+	}
+	if applied, ok := b.ImportHandoff(uid, h); !ok || applied != 6 {
+		t.Fatalf("skewed import: %v %v", applied, ok)
+	}
+	a.CommitHandoff(uid, h.Seq)
+	if got := a.Spent(uid) + b.Spent(uid); got != 6 {
+		t.Fatalf("spend across both nodes after commit %v, want 6", got)
+	}
+	if _, err := b.Charge(uid, 5); !errors.Is(err, ErrBudgetExhausted) {
+		t.Fatalf("over-cap charge after a skewed handoff: %v", err)
 	}
 	if st := b.Stats(); st.HandoffsRejected != 0 {
 		t.Fatalf("stats: %+v", st)

@@ -55,6 +55,13 @@ func (n *testNode) shard(t *testing.T) *registry.Shard {
 // — the same bootstrap order cmd/corgi-server follows with -cluster-peers.
 func startCluster(t *testing.T, n int, opts registry.Options) []*testNode {
 	t.Helper()
+	return startClusterWith(t, n, func(int) registry.Options { return opts })
+}
+
+// startClusterWith is startCluster with per-node registry options, for
+// nodes that differ (say, in their budget clocks).
+func startClusterWith(t *testing.T, n int, opts func(i int) registry.Options) []*testNode {
+	t.Helper()
 	listeners := make([]net.Listener, n)
 	peers := make([]cluster.Peer, n)
 	for i := range listeners {
@@ -68,7 +75,7 @@ func startCluster(t *testing.T, n int, opts registry.Options) []*testNode {
 	}
 	nodes := make([]*testNode, n)
 	for i := range nodes {
-		reg, err := registry.New(clusterSpec(), opts)
+		reg, err := registry.New(clusterSpec(), opts(i))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -248,6 +255,61 @@ func TestClusterHandoffExactlyOnce(t *testing.T) {
 	}
 	if st := b1.Stats(); st.HandoffsImported != 1 {
 		t.Fatalf("owner imported %d handoffs, want 1", st.HandoffsImported)
+	}
+}
+
+// TestClusterHandoffSkewedClocks: the new owner's clock runs 5 ms behind
+// the old owner's, and the old owner charged in the first ms of a budget
+// bucket, so the handed-off event is stamped more than one Resolution
+// ahead of the new owner's clock. The forward commits the export, so the
+// new owner must still count the handed-off spend or it is lost on both
+// nodes.
+func TestClusterHandoffSkewedClocks(t *testing.T) {
+	bucket := time.Unix(1_700_000_000, 0)
+	clocks := []time.Time{bucket.Add(time.Millisecond), bucket.Add(-4 * time.Millisecond)}
+	nodes := startClusterWith(t, 2, func(i int) registry.Options {
+		now := clocks[i]
+		return registry.Options{Budget: budget.Config{
+			LimitEps: 1000, Window: time.Hour, Now: func() time.Time { return now },
+		}}
+	})
+	uid := uidOwnedBy(t, nodes[0].router.Ring(), nodes[1].name, 500)
+	allPeers := []cluster.Peer{
+		{Name: nodes[0].name, StreamAddr: nodes[0].name},
+		{Name: nodes[1].name, StreamAddr: nodes[1].name},
+	}
+
+	// Before the move node 0 owns everyone; the user spends there.
+	if err := nodes[0].router.SetMembers(allPeers[:1]); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := nodes[0].router.Report(context.Background(), reportReq(t, nodes[0], uid)); err != nil {
+		t.Fatal(err)
+	}
+	preSpend := nodes[0].shard(t).Budget.Spent(uid)
+	if preSpend <= 0 {
+		t.Fatal("no spend recorded before the move")
+	}
+
+	if err := nodes[0].router.SetMembers(allPeers); err != nil {
+		t.Fatal(err)
+	}
+	res, err := nodes[0].router.Report(context.Background(), reportReq(t, nodes[0], uid))
+	if err != nil {
+		t.Fatalf("post-move report: %v", err)
+	}
+	if s0 := nodes[0].router.Stats(); s0.HandoffsSent != 1 || s0.ForwardedOut != 1 {
+		t.Fatalf("post-move report not forwarded with a handoff: %+v", s0)
+	}
+	b0, b1 := nodes[0].shard(t).Budget, nodes[1].shard(t).Budget
+	if got := b0.Spent(uid); got != 0 {
+		t.Fatalf("old owner still counts %v after handoff commit", got)
+	}
+	if got, want := b1.Spent(uid), preSpend+res.EpsSpent; got != want {
+		t.Fatalf("new owner counts %v, want %v (handoff %v + fresh %v)", got, want, preSpend, res.EpsSpent)
+	}
+	if st := b1.Stats(); st.HandoffsImported != 1 || st.HandoffsRejected != 0 {
+		t.Fatalf("new owner budget stats: %+v", st)
 	}
 }
 

@@ -43,7 +43,7 @@ func postForest(t *testing.T, url string, level, delta int, accept, ifNoneMatch 
 // response carries a strong ETag, revalidating with it yields an empty
 // 304, and a stale tag yields a full 200.
 func TestForestETagAnd304(t *testing.T) {
-	ts, _, _ := newTestServer(t, 2, registry.Options{})
+	ts, _, _ := newTestServer(t, 2, 2, registry.Options{})
 
 	resp, body := postForest(t, ts.URL, 1, 0, ContentTypeForestV2, "")
 	if resp.StatusCode != http.StatusOK {
@@ -166,7 +166,7 @@ func TestEtagMatches(t *testing.T) {
 // fetch returns a tagged body, revalidation returns NotModified, and the
 // cached body decodes to the same forest.
 func TestClientConditionalFetch(t *testing.T) {
-	ts, _, _ := newTestServer(t, 2, registry.Options{})
+	ts, _, _ := newTestServer(t, 2, 2, registry.Options{})
 	c := NewClient(ts.URL)
 	tree, _, err := c.FetchTree()
 	if err != nil {
@@ -210,7 +210,7 @@ func TestClientConditionalFetch(t *testing.T) {
 // TestClientForceV1 checks the escape hatch really downgrades the Accept
 // negotiation.
 func TestClientForceV1(t *testing.T) {
-	ts, _, _ := newTestServer(t, 2, registry.Options{})
+	ts, _, _ := newTestServer(t, 2, 2, registry.Options{})
 	c := NewClient(ts.URL)
 	c.ForceV1 = true
 	tree, _, err := c.FetchTree()

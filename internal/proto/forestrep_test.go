@@ -199,7 +199,7 @@ func TestWriteRawGzipThreshold(t *testing.T) {
 // the threshold: it goes out as identity even to a gzip-offering client,
 // so its tag carries no coding suffix, and Vary still names both axes.
 func TestSmallForestNotGzipped(t *testing.T) {
-	ts, _, sh := newTestServer(t, 1, registry.Options{})
+	ts, _, sh := newTestServer(t, 1, 1, registry.Options{})
 	srv := sh.Server
 	v := forestVariant{"v2/gzip", true, true}
 	got := fetchForest(t, ts.URL, "", 1, 0, v, "")
@@ -234,7 +234,7 @@ func TestForestMemoMatchesFreshEncode(t *testing.T) {
 		{"GET /v1/forest", "sf"},
 	}
 	for _, c := range cases {
-		ts, h, sh := newTestServer(t, 2, registry.Options{})
+		ts, h, sh := newTestServer(t, 2, 1, registry.Options{})
 		srv := sh.Server
 		for _, v := range forestVariants {
 			what := c.name + " " + v.name
@@ -282,7 +282,7 @@ func TestForestMemoInvalidation(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		gen, err := registry.New([]registry.Spec{sfSpec(2)}, registry.Options{Store: st, WarmupDelta: -1})
+		gen, err := registry.New([]registry.Spec{sfSpec(2, 1)}, registry.Options{Store: st, WarmupDelta: -1})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -297,7 +297,7 @@ func TestForestMemoInvalidation(t *testing.T) {
 
 		// A 1 KiB cache holds at most one or two of the level's entries,
 		// so every request reloads the rest from the store as new objects.
-		ts, h, sh := newTestServer(t, 2, registry.Options{
+		ts, h, sh := newTestServer(t, 2, 1, registry.Options{
 			Store: st, Engine: core.EngineOptions{CacheBytes: 1 << 10},
 		})
 		srv := sh.Server
@@ -332,7 +332,7 @@ func TestForestMemoInvalidation(t *testing.T) {
 	})
 
 	t.Run("degraded upgraded", func(t *testing.T) {
-		_, _, sh := newTestServer(t, 2, registry.Options{
+		_, _, sh := newTestServer(t, 2, 1, registry.Options{
 			Engine: core.EngineOptions{DegradedServing: true},
 		})
 		srv := sh.Server

@@ -15,22 +15,24 @@ import (
 )
 
 // sfSpec is the San Francisco region the handler tests serve: a tree of
-// the given height (2 -> 49 leaves), three targets, uniform priors.
-func sfSpec(height int) registry.Spec {
+// the given height (2 -> 49 leaves) solved with the given number of
+// Algorithm-1 iterations, three targets, uniform priors.
+func sfSpec(height, iters int) registry.Spec {
 	c := geo.SanFrancisco.Center()
 	return registry.Spec{
 		Name: "sf", CenterLat: c.Lat, CenterLng: c.Lng,
-		Height: height, Iterations: 1, Targets: 3, UniformPriors: true,
+		Height: height, Iterations: iters, Targets: 3, UniformPriors: true,
 	}
 }
 
-// newTestServer serves the sfSpec region of the given height through a
-// MultiHandler and returns the handler and the bootstrapped shard. Warmup
-// is off, so the engine counters count only what the test requests.
-func newTestServer(t *testing.T, height int, opts registry.Options) (*httptest.Server, *MultiHandler, *registry.Shard) {
+// newTestServer serves the sfSpec region of the given height and
+// iteration count through a MultiHandler and returns the handler and the
+// bootstrapped shard. Warmup is off, so the engine counters count only
+// what the test requests.
+func newTestServer(t *testing.T, height, iters int, opts registry.Options) (*httptest.Server, *MultiHandler, *registry.Shard) {
 	t.Helper()
 	opts.WarmupDelta = -1
-	reg, err := registry.New([]registry.Spec{sfSpec(height)}, opts)
+	reg, err := registry.New([]registry.Spec{sfSpec(height, iters)}, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -48,7 +50,7 @@ func newTestServer(t *testing.T, height int, opts registry.Options) (*httptest.S
 }
 
 func TestFullClientServerRoundTrip(t *testing.T) {
-	ts, _, _ := newTestServer(t, 2, registry.Options{})
+	ts, _, _ := newTestServer(t, 2, 2, registry.Options{})
 	c := NewClient(ts.URL)
 
 	tree, tr, err := c.FetchTree()
@@ -85,7 +87,7 @@ func TestFullClientServerRoundTrip(t *testing.T) {
 }
 
 func TestServerRejectsBadRequests(t *testing.T) {
-	ts, _, _ := newTestServer(t, 2, registry.Options{})
+	ts, _, _ := newTestServer(t, 2, 2, registry.Options{})
 
 	// Wrong methods.
 	resp, err := http.Post(ts.URL+"/v1/tree", "application/json", strings.NewReader("{}"))

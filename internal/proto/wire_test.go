@@ -205,7 +205,7 @@ func TestDecodeForestV1Errors(t *testing.T) {
 // TestHandlerWireV2Negotiation checks Accept-driven selection of the
 // compact encoding and that the default client transparently consumes it.
 func TestHandlerWireV2Negotiation(t *testing.T) {
-	ts, _, _ := newTestServer(t, 2, registry.Options{})
+	ts, _, _ := newTestServer(t, 2, 2, registry.Options{})
 
 	body := `{"privacy_l": 1, "delta": 0}`
 	req, _ := http.NewRequest(http.MethodPost, ts.URL+"/v1/matrices", strings.NewReader(body))
@@ -253,7 +253,7 @@ func TestHandlerWireV2Negotiation(t *testing.T) {
 
 // TestHandlerGzip checks explicit gzip negotiation on the matrices route.
 func TestHandlerGzip(t *testing.T) {
-	ts, _, _ := newTestServer(t, 2, registry.Options{})
+	ts, _, _ := newTestServer(t, 2, 2, registry.Options{})
 
 	req, _ := http.NewRequest(http.MethodPost, ts.URL+"/v1/matrices",
 		strings.NewReader(`{"privacy_l": 1, "delta": 0}`))
@@ -288,7 +288,7 @@ func TestHandlerGzip(t *testing.T) {
 
 // TestHealthzAndStats covers the operational endpoints.
 func TestHealthzAndStats(t *testing.T) {
-	ts, _, _ := newTestServer(t, 2, registry.Options{})
+	ts, _, _ := newTestServer(t, 2, 2, registry.Options{})
 
 	resp, err := http.Get(ts.URL + "/healthz")
 	if err != nil {
@@ -329,7 +329,7 @@ func TestHealthzAndStats(t *testing.T) {
 // TestConcurrentMatricesSingleflight fires identical concurrent HTTP
 // requests and checks exactly one LP solve ran per privacy-level node.
 func TestConcurrentMatricesSingleflight(t *testing.T) {
-	ts, _, sh := newTestServer(t, 2, registry.Options{})
+	ts, _, sh := newTestServer(t, 2, 2, registry.Options{})
 
 	const callers = 6
 	var wg sync.WaitGroup
@@ -363,7 +363,7 @@ func TestConcurrentMatricesSingleflight(t *testing.T) {
 
 // TestHandlerTimeout checks an impossible deadline surfaces as 504.
 func TestHandlerTimeout(t *testing.T) {
-	_, h, _ := newTestServer(t, 2, registry.Options{})
+	_, h, _ := newTestServer(t, 2, 2, registry.Options{})
 	h.Timeout = 1 // 1ns: expired before generation starts
 	req := httptest.NewRequest(http.MethodPost, "/v1/matrices",
 		strings.NewReader(`{"privacy_l": 1, "delta": 2}`))
